@@ -22,6 +22,7 @@ are bit-identical to re-summing the entry list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,9 @@ class EnergyLedger:
         interval ending exactly on an edge deposits nothing into the
         bucket that starts there.  Energy past the covered window
         accumulates into the final bucket (the same clamp point posts
-        use), and a zero-length interval degenerates to a point post.
+        use).  A span too short to carry a finite power — zero length,
+        or so small that ``energy / span`` overflows — degenerates to a
+        point post into the start bucket.
         """
         if energy_joules < 0:
             raise EnergyError(f"cannot post negative energy: {energy_joules}")
@@ -186,12 +189,12 @@ class EnergyLedger:
         self._posted_count += 1
         width = self.trace_bucket_seconds
         last = self.trace_buckets - 1
-        if duration <= 0.0:
+        density = energy_joules / duration if duration > 0.0 else math.inf
+        if not math.isfinite(density):
             bucket = min(int(start_seconds / width), last)
             self._trace[max(bucket, 0)] += energy_joules
             return
         trace = self._trace
-        density = energy_joules / duration
         first = max(min(int(start_seconds / width), last), 0)
         cursor = start_seconds
         bucket = first

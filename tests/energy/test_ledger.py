@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.energy.ledger import EnergyLedger
 from repro.errors import EnergyError
@@ -248,6 +248,7 @@ class TestPostInterval:
     @given(st.floats(min_value=0.0, max_value=100.0),
            st.floats(min_value=0.0, max_value=200.0),
            st.floats(min_value=0.0, max_value=50.0))
+    @example(start=0.0, span=5e-324, energy=1.0)
     def test_trace_conserves_posted_energy(self, start, span, energy):
         ledger = EnergyLedger(trace_bucket_seconds=7.0, trace_buckets=6)
         ledger.post_interval("x", energy, start, start + span)
