@@ -18,6 +18,11 @@ delegated to an :class:`ArbitrationPolicy`.  Three policies are provided:
 Policies are deterministic (no randomness) and non-preemptive: a grant is
 committed when the medium asks for it, even if a better-placed packet
 arrives before the granted transmission starts.
+
+All three keep their backlog as the same data — per-node deques in
+``_queues`` (FIFO's entries all alias its one shared deque) and an
+integer ``_pending`` — which the simulator's batched kernel reads and
+appends to directly instead of calling :meth:`~ArbitrationPolicy.enqueue`.
 """
 
 from __future__ import annotations
@@ -68,32 +73,46 @@ class ArbitrationPolicy(Protocol):
 
 
 class FIFOArbitration:
-    """First-come-first-served single queue (the legacy bus behaviour)."""
+    """First-come-first-served single queue (the legacy bus behaviour).
+
+    Exposes the same data as the slotted policies — per-node deques in
+    ``_queues`` and a backlog count in ``_pending`` — except that every
+    node's entry aliases the one shared ``_fifo`` deque, so appending
+    to any node's queue appends to the arrival order.
+    """
 
     name = "fifo"
 
     def __init__(self) -> None:
-        self._pending: deque[Packet] = deque()
+        self._fifo: deque[Packet] = deque()
+        self._queues: dict[str, deque[Packet]] = {}
+        self._pending = 0
 
     def register_node(self, node_name: str, offered_rate_bps: float) -> None:
-        pass  # FIFO needs no per-node state
+        self._queues[node_name] = self._fifo
 
     def enqueue(self, packet: Packet) -> None:
-        self._pending.append(packet)
+        self._fifo.append(packet)
+        self._pending += 1
 
     def next_grant(self, now: float) -> Grant | None:
         if not self._pending:
             return None
-        return self._pending.popleft(), 0.0
+        self._pending -= 1
+        return self._fifo.popleft(), 0.0
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return self._pending
 
     def purge_node(self, node_name: str) -> int:
-        kept = deque(packet for packet in self._pending
-                     if packet.source != node_name)
-        removed = len(self._pending) - len(kept)
-        self._pending = kept
+        # In place: every ``_queues`` entry (and any hoisted alias)
+        # keeps pointing at the live deque.
+        fifo = self._fifo
+        kept = [packet for packet in fifo if packet.source != node_name]
+        removed = len(fifo) - len(kept)
+        fifo.clear()
+        fifo.extend(kept)
+        self._pending -= removed
         return removed
 
 

@@ -156,13 +156,16 @@ class Medium:
         #: run, so the serialisation math is computed once per distinct
         #: packet shape instead of once per packet.
         self._service_cache: dict[tuple[str, float], float] = {}
-        #: Kernel mode (set by the simulator's batched drain loop): when
-        #: on, :meth:`_grant_next` records the next medium event as a
-        #: ``(time, sequence, kind, packet, service)`` tuple in
-        #: ``_chain`` instead of scheduling a queue callback.  ``kind``
-        #: is 0 for a transmission begin, 1 for a completion.  At most
-        #: one chain event exists at a time — the medium serialises.
+        #: Set by an owning :class:`~repro.netsim.simulator.
+        #: BodyNetworkSimulator`, whose batched kernel is then this
+        #: medium's only data path: :meth:`submit` and the ``on_*``
+        #: registrations raise instead of opening a second one.
         self._kernel = False
+        #: The in-flight medium event a kernel run handed over across its
+        #: horizon, as ``(time, sequence, kind, packet, service)`` —
+        #: ``kind`` 0 for a transmission begin, 1 for a completion; the
+        #: next kernel run resumes it.  At most one exists at a time —
+        #: the medium serialises.
         self._chain: tuple[float, int, int, Packet, float] | None = None
 
     # -- configuration -----------------------------------------------------
@@ -177,19 +180,29 @@ class Medium:
             self._node_rates[name] = link_rate_bps
         self._service_cache.clear()
 
+    def _check_standalone(self, operation: str) -> None:
+        if self._kernel:
+            raise SimulationError(
+                f"{operation} is unavailable on a medium a "
+                "BodyNetworkSimulator owns; its kernel is the only data "
+                "path (read results and node counters instead)")
+
     def on_delivery(self, callback) -> None:
         """Register a callback invoked with each delivered packet."""
+        self._check_standalone("on_delivery")
         self._delivery_callbacks.append(callback)
 
     def on_attempt(self, callback) -> None:
         """Register a callback invoked as ``callback(packet, success)``
         for every completed transmission attempt (lossy media only —
         without a reliability model no attempts are reported)."""
+        self._check_standalone("on_attempt")
         self._attempt_callbacks.append(callback)
 
     def on_loss(self, callback) -> None:
         """Register a callback invoked with each packet declared lost
         (erased with no ARQ, or after exhausting its retries)."""
+        self._check_standalone("on_loss")
         self._loss_callbacks.append(callback)
 
     def purge_node(self, name: str) -> int:
@@ -204,6 +217,7 @@ class Medium:
 
     def submit(self, packet: Packet) -> bool:
         """Enqueue a packet for transmission.  Returns False if dropped."""
+        self._check_standalone("submit")
         if self.policy.pending_count() >= self.max_queue_packets:
             self.stats.dropped_packets += 1
             return False
@@ -249,22 +263,6 @@ class Medium:
         if service is None:
             service = self.service_time_seconds(packet)
         self.stats.busy_seconds += service
-        if self._kernel:
-            # Mirror the event-queue schedule exactly, including *when*
-            # sequence numbers are claimed: a zero access delay begins
-            # transmission synchronously (only the completion claims a
-            # sequence, now); a positive delay claims a sequence for the
-            # begin event, and the begin dispatch claims the completion's.
-            queue = self._queue
-            now = queue._now
-            if access_delay == 0.0:
-                packet.queued_at = now
-                self._chain = (now + service, queue.claim_sequence(), 1,
-                               packet, service)
-            else:
-                self._chain = (now + access_delay, queue.claim_sequence(), 0,
-                               packet, service)
-            return
         if access_delay == 0.0:
             self._begin_transmission(packet, service)
         else:

@@ -16,8 +16,6 @@ leaps, and the leap refuses whenever the closed forms would not be
 trustworthy.  A leap is only attempted when
 
 * every node's traffic source is strictly periodic (no Poisson sources),
-* no user-registered delivery/attempt/loss callbacks exist beyond the
-  simulator's own accounting hooks,
 * the bus is idle (no in-flight transfer chain, no queued packets),
 * all per-node erasure rates yield a finite expected attempt count,
 * the offered utilization (including TDMA guard and polling overhead)
@@ -46,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
-from .arbitration import (FIFOArbitration, HubPollingArbitration,
-                          TDMAArbitration)
+from .arbitration import HubPollingArbitration, TDMAArbitration
 from .packet import Packet
 from .traffic import PeriodicSource
 
@@ -102,9 +99,9 @@ class MacroTickEngine:
     simulator:
         The :class:`~repro.netsim.simulator.BodyNetworkSimulator` to
         accelerate.  The engine compiles static eligibility once at
-        construction (source types, service times, callback hooks) and
-        re-checks the dynamic conditions (bus idle, PER table, battery
-        slope) on every :meth:`try_leap` call.
+        construction (source types, service times) and re-checks the
+        dynamic conditions (bus idle, PER table, battery slope) on every
+        :meth:`try_leap` call.
     """
 
     def __init__(self, simulator) -> None:
@@ -115,21 +112,9 @@ class MacroTickEngine:
         self.reliability = simulator.reliability
         self.arq = getattr(simulator.reliability, "arq", None)
         policy = self.policy
-        self.fifo = type(policy) is FIFOArbitration
         self.tdma = type(policy) is TDMAArbitration
         self.polling = type(policy) is HubPollingArbitration
-        self.eligible = self.fifo or self.tdma or self.polling
-
-        # Any user-registered callback beyond the simulator's own three
-        # accounting hooks could observe per-packet state the leap never
-        # materializes, so its presence disables the fast path outright.
-        own = {simulator._account_delivery, simulator._account_attempt,
-               simulator._account_loss}
-        hooks = (list(getattr(self.bus, "_delivery_callbacks", ()))
-                 + list(getattr(self.bus, "_attempt_callbacks", ()))
-                 + list(getattr(self.bus, "_loss_callbacks", ())))
-        if any(hook not in own for hook in hooks):
-            self.eligible = False
+        self.eligible = True
 
         self.rows: list[_Row] = []
         max_period = 0.0

@@ -71,6 +71,9 @@ _DEFAULT_SOC_THROTTLE = SoCThrottleController()
 #: misread field-by-field.
 RESULT_SCHEMA_VERSION = 1
 
+#: The arbitration policies the kernel drains (exact types).
+_KERNEL_POLICIES = (FIFOArbitration, TDMAArbitration, HubPollingArbitration)
+
 
 @dataclass(frozen=True)
 class EnergyEvent:
@@ -348,7 +351,11 @@ class BodyNetworkSimulator:
     arbitration:
         Arbitration policy instance or short name (``"fifo"``, ``"tdma"``,
         ``"polling"``).  Defaults to FIFO, which reproduces the historical
-        shared-bus behaviour bit-identically.
+        shared-bus behaviour bit-identically.  The kernel reads the
+        policy's queues as data, so an instance must be exactly a
+        :class:`FIFOArbitration`, :class:`TDMAArbitration` or
+        :class:`HubPollingArbitration`; anything else (subclasses
+        included) raises :class:`~repro.errors.SimulationError`.
     latency_exact_capacity:
         Exact-sample capacity of the latency statistics; beyond it the
         accumulator streams with bounded memory (multi-hour runs).
@@ -405,13 +412,14 @@ class BodyNetworkSimulator:
         #: against fast-path nodes (the kernel write-back would clobber
         #: anything posted mid-run).
         self._pre_account_hooks: list[Callable[[float], None]] = []
-        self.bus.on_delivery(self._account_delivery)
-        if reliability is not None:
-            self.bus.on_attempt(self._account_attempt)
-            self.bus.on_loss(self._account_loss)
-        # The simulator always drains its medium through the batched
-        # kernel loop in :meth:`run`; the bus records its transmission
-        # chain as data instead of scheduling per-packet callbacks.
+        if type(self.bus.policy) not in _KERNEL_POLICIES:
+            raise SimulationError(
+                f"unsupported arbitration policy "
+                f"{type(self.bus.policy).__name__}: the simulator runs "
+                "exactly FIFOArbitration, TDMAArbitration or "
+                "HubPollingArbitration")
+        # The batched kernel in :meth:`run` is the medium's only data
+        # path; the medium's own submit/callback surface is closed.
         self.bus._kernel = True
 
     def attach(self, config: NodeConfig) -> SimulatedNode:
@@ -518,28 +526,11 @@ class BodyNetworkSimulator:
             raise SimulationError(f"unknown node {name!r}")
         self.reliability.set_error_rate(name, error_rate)
 
-    def _account_delivery(self, packet: Packet) -> None:
-        node = self.nodes[packet.source]
-        tx_energy = packet.bits * node.technology.tx_energy_per_bit()
-        rx_energy = packet.bits * node.technology.rx_energy_per_bit()
-        if node.energy is None:
-            node.ledger.post("wir_tx", tx_energy,
-                             timestamp_seconds=self.queue.now)
-            node.packets_delivered += 1
-        else:
-            was_alive = node.energy.alive
-            node.energy.drain("wir_tx", tx_energy, self.queue.now)
-            if was_alive:
-                node.packets_delivered += 1
-            if not node.energy.alive:
-                self._record_death(node)
-        self.hub_ledger.post("wir_rx", rx_energy, timestamp_seconds=self.queue.now)
-
     def _account_attempt(self, packet: Packet, success: bool) -> None:
         """Energy of one transmission attempt on a lossy medium.
 
-        A successful attempt's frame energy flows through
-        :meth:`_account_delivery`; here it only pays for its ack (leaf
+        A successful attempt's frame energy flows through the kernel's
+        delivery accounting; here it only pays for its ack (leaf
         receives, hub transmits).  A corrupted attempt pays the full
         wasted frame — leaf transmit under ``wir_retx``, hub receive —
         and gets no ack (the leaf times out).
@@ -703,18 +694,20 @@ class BodyNetworkSimulator:
         merge order is unchanged while the loop runs one iteration per
         packet instead of two.
 
-        While the loop runs, shared state lives in locals and flat
-        per-node tables: the aggregate counters (delivered packets and
-        bits, medium busy time), the latency accumulator's buffers (its
-        extrema are folded in batch at spill/flush boundaries — min/max
-        are order-independent), the sequence counter, the chain, and
-        each node's traffic counters and fast-path ledger totals.
-        Everything is written back when the loop exits, with every
-        addition replayed in the legacy order.  Control-stream events
-        observe consistent per-node traffic counters and queue state
-        (synced around ``queue.step()``); registered extra callbacks get
-        the full shared state synced around them; aggregate statistics
-        and fast-path ledger totals otherwise sync lazily.
+        The kernel is the medium's only data path: the arbitration
+        policy is read as data (per-node deques and a backlog count,
+        see :class:`~repro.netsim.arbitration.FIFOArbitration`), and
+        the simulator's accounting runs inline.  While the loop runs,
+        shared state lives in locals and flat per-node tables: the
+        aggregate counters (delivered packets and bits, medium busy
+        time), the latency accumulator's buffers (its extrema are folded
+        in batch at spill/flush boundaries — min/max are
+        order-independent), the backlog count, the sequence counter, the
+        chain, and each node's traffic counters and fast-path ledger
+        totals.  Everything is written back when the loop exits, with
+        every addition replayed in the legacy order.  Control-stream
+        events, method grants and brownout purges observe consistent
+        per-node traffic counters and backlog (synced around them).
         """
         queue = self.queue
         bus = self.bus
@@ -728,39 +721,20 @@ class BodyNetworkSimulator:
         hub_ledger = self.hub_ledger
         claim = queue.claim_sequence
         max_queue = bus.max_queue_packets
-        pending_count = policy.pending_count
-        enqueue = policy.enqueue
         next_grant = policy.next_grant
         service_cache = bus._service_cache
         purged = bus._purged_nodes
         inf_ = math.inf
 
-        # Callbacks beyond the simulator's own accounting (tests or
-        # embedding code may register extras); the simulator's were
-        # registered first, so running the inline accounting before the
-        # extras preserves the legacy invocation order.
-        delivery_extras = [callback for callback in bus._delivery_callbacks
-                           if callback != self._account_delivery]
-        attempt_extras = [callback for callback in bus._attempt_callbacks
-                          if callback != self._account_attempt]
-        loss_extras = [callback for callback in bus._loss_callbacks
-                       if callback != self._account_loss]
-        extra_hooks = bool(delivery_extras or attempt_extras or loss_extras)
-
-        # The stock arbiters get their admission path inlined (exact type
-        # checks — subclasses keep the method-call path).  FIFO admission
-        # reads the deque fresh each time because a brownout purge
-        # replaces it; the slotted arbiters clear per-node deques in
-        # place, so those aliases stay valid for the whole run.
+        # Grants: FIFO pops its shared deque inline; TDMA walks its slot
+        # ring inline while the ring is valid (re-read after every method
+        # grant and control dispatch, so a mid-run slot-table rebuild
+        # falls back to the method safely); everything else takes the
+        # policy method.
         policy_type = type(policy)
-        fifo_fast = policy_type is FIFOArbitration
-        slotted_fast = policy_type in (TDMAArbitration, HubPollingArbitration)
-        # The TDMA slot-ring grant is additionally inlined at the
-        # completion site (the dense-body hour grants once per packet).
-        # The ring and its validity flags are re-read per grant, so a
-        # mid-run slot-table rebuild falls back to the method safely.
-        tdma_fast = policy_type is TDMAArbitration
-        superframe = policy.superframe_seconds if tdma_fast else 0.0
+        fifo = policy._fifo if policy_type is FIFOArbitration else None
+        tdma = policy_type is TDMAArbitration
+        superframe = policy.superframe_seconds if tdma else 0.0
         floor_ = math.floor
         bisect_ = bisect_right
         new_packet = Packet.__new__
@@ -822,8 +796,7 @@ class BodyNetworkSimulator:
             rx_e.append(rx_val)
             ack_e_l.append(arq_ack_bits * rx_val)
             ledger = node.ledger
-            fast_flags.append(not extra_hooks
-                              and node.energy is None
+            fast_flags.append(node.energy is None
                               and ledger.entries is None
                               and ledger._posted_count == 0)
             wir_acc.append(0.0)
@@ -849,50 +822,53 @@ class BodyNetworkSimulator:
                                  node.name))
             else:
                 periodic.append(None)
-            node_queues.append(policy._queues.get(node.name)
-                               if slotted_fast else None)
+            node_queues.append(policy._queues[node.name])
             next_time = queue._now + source.next_interarrival_seconds(rng)
             if next_time <= end_time:
                 gen_heap.append((next_time, claim(), index))
         heapify(gen_heap)
-        if slotted_fast and any(entry is None for entry in node_queues):
-            slotted_fast = False
-        # The slotted arbiters' backlog counter and the TDMA slot ring
-        # are hoisted into locals; every call that can mutate them (a
-        # method grant, a purge, foreign code) is bracketed by a sync
-        # and re-hoist.  The ring is built up front so the first grant
-        # already takes the inline path (a missing link rate surfaces
-        # identically on that first grant instead).
-        slot_pending = policy._pending if slotted_fast else 0
+        # The policy's backlog count is hoisted into a local; every call
+        # that can move it (a method grant, a purge, a control event) is
+        # bracketed by a write-back and re-read.
+        pending = policy._pending
+        # The TDMA slot ring, and per-index (offset, width) windows
+        # backing the idle-bus grant shortcut; ``win_src`` tracks the
+        # dict they were read from, so a slot-table rebuild (always a
+        # fresh dict) is detected by identity instead of rebuilding the
+        # table on every re-hoist.
         ring = None
         ring_starts = None
         ring_ok = False
-        # Per-index (offset, width) windows back the idle-bus grant
-        # shortcut; ``win_src`` tracks the dict they were read from, so
-        # a slot-table rebuild (always a fresh dict) is detected by
-        # identity instead of rebuilding the table on every re-hoist.
         win_l: list[tuple[float, float] | None] = [None] * n_nodes
         win_src = None
-        if tdma_fast and slotted_fast:
-            try:
-                policy._slot_table()
-            except SimulationError:
-                pass
+
+        def _rehoist_ring() -> None:
+            nonlocal ring, ring_starts, ring_ok, win_src
             ring_ok = policy._windows is not None and policy._ring_fast
             if ring_ok:
                 ring = policy._ring
                 ring_starts = policy._ring_starts
-                win_src = policy._windows
-                for i in range(n_nodes):
-                    win_l[i] = win_src.get(node_list[i].name)
+                if policy._windows is not win_src:
+                    win_src = policy._windows
+                    for i in range(n_nodes):
+                        win_l[i] = win_src.get(node_list[i].name)
+
+        if tdma:
+            # Built up front so the first grant already takes the inline
+            # path (a missing link rate surfaces identically on that
+            # first grant instead).
+            try:
+                policy._slot_table()
+            except SimulationError:
+                pass
+            _rehoist_ring()
         self._schedule_energy_updates(end_time)
 
         # On a lossy medium the attempt accounting posts to the hub too
         # (wasted frames, ack transmissions); the hub can only go fast
         # if every node does, otherwise a method-path attempt would
         # interleave hub posts with the accumulated ones.
-        hub_fast = (not extra_hooks
-                    and hub_ledger.entries is None
+        hub_fast = (hub_ledger.entries is None
                     and hub_ledger._posted_count == 0
                     and (reliability is None or all(fast_flags)))
         hub_rx_acc = 0.0
@@ -920,9 +896,9 @@ class BodyNetworkSimulator:
         lat_cap = latency.exact_capacity
         lat_flush = PENDING_FLUSH_THRESHOLD
         # Samples already in the window are covered by the hoisted
-        # ``lat_min``/``lat_max`` (every add path maintains them), so
-        # min/max syncs only need to scan entries appended since the
-        # last sync — an index, not a copy.
+        # ``lat_min``/``lat_max`` (every add path maintains them), so the
+        # exit fold only needs to scan entries appended since entry — an
+        # index, not a copy.
         lat_scan = len(lat_list) if lat_list is not None else 0
 
         sentinel = (inf_, inf_)
@@ -941,7 +917,7 @@ class BodyNetworkSimulator:
             chain_service = handoff[4]
         ctrl_key = queue.peek_key() or sentinel
         # Hoisted after the setup claims above — every in-loop claim is
-        # an inline increment, written back around foreign code.
+        # an inline increment, written back around control dispatches.
         seq = queue._seq
 
         def _publish_nodes() -> None:
@@ -962,76 +938,6 @@ class BodyNetworkSimulator:
                 stride_l[i] = nd.tx_stride
                 if fast_flags[i]:
                     deliv_counts[i] = nd.packets_delivered
-
-        def _rehoist_ring() -> None:
-            nonlocal ring, ring_starts, ring_ok, win_src
-            ring_ok = (slotted_fast and tdma_fast
-                       and policy._windows is not None and policy._ring_fast)
-            if ring_ok:
-                ring = policy._ring
-                ring_starts = policy._ring_starts
-                if policy._windows is not win_src:
-                    win_src = policy._windows
-                    for i in range(n_nodes):
-                        win_l[i] = win_src.get(node_list[i].name)
-
-        def _sync_shared(now: float) -> None:
-            """Publish the hoisted state before foreign code runs."""
-            nonlocal lat_min, lat_max, lat_scan
-            queue._now = now
-            queue._seq = seq
-            if slotted_fast:
-                policy._pending = slot_pending
-            stats.delivered_packets = delivered_cnt
-            stats.delivered_bits = delivered_bits_sum
-            stats.busy_seconds = busy_s
-            latency.count = cnt
-            if lat_list is not None:
-                buffered = lat_list[lat_scan:] if lat_scan else lat_list
-                lat_scan = len(lat_list)
-            else:
-                buffered = lat_pending
-            if buffered:
-                low = min(buffered)
-                if low < lat_min:
-                    lat_min = low
-                high = max(buffered)
-                if high > lat_max:
-                    lat_max = high
-            latency._min = lat_min
-            latency._max = lat_max
-            _publish_nodes()
-
-        def _reload_shared() -> None:
-            """Re-hoist after foreign code may have moved shared state."""
-            nonlocal seq, delivered_cnt, delivered_bits_sum, busy_s
-            nonlocal cnt, lat_min, lat_max, lat_list, lat_pending, lat_scan
-            nonlocal ctrl_key, chain_key, chain_kind, chain_packet
-            nonlocal chain_service, slot_pending
-            seq = queue._seq
-            if slotted_fast:
-                slot_pending = policy._pending
-            _rehoist_ring()
-            delivered_cnt = stats.delivered_packets
-            delivered_bits_sum = stats.delivered_bits
-            busy_s = stats.busy_seconds
-            cnt = latency.count
-            lat_min = latency._min
-            lat_max = latency._max
-            lat_list = latency._samples
-            lat_pending = latency._pending
-            # Foreign adds maintain the accumulator's min/max, so the
-            # re-hoisted window is fully covered again.
-            lat_scan = len(lat_list) if lat_list is not None else 0
-            _reload_nodes()
-            ctrl_key = queue.peek_key() or sentinel
-            foreign = bus._chain
-            if foreign is not None:
-                bus._chain = None
-                chain_key = (foreign[0], foreign[1])
-                chain_kind = foreign[2]
-                chain_packet = foreign[3]
-                chain_service = foreign[4]
 
         # Empty streams are represented by the (inf, inf) sentinel rather
         # than None so head selection is two plain comparisons.  The
@@ -1095,29 +1001,19 @@ class BodyNetworkSimulator:
                                      rng))
                 fused = False
                 if packet is not None:
-                    if fifo_fast:
-                        fifo_queue = policy._pending
-                        if len_(fifo_queue) < max_queue:
-                            fifo_queue.append(packet)
-                            accepted = True
-                        else:
-                            accepted = False
-                    elif slotted_fast:
-                        if slot_pending < max_queue:
-                            node_queues[index].append(packet)
-                            slot_pending += 1
-                            accepted = True
-                        else:
-                            accepted = False
-                    elif pending_count() < max_queue:
-                        enqueue(packet)
-                        accepted = True
-                    else:
-                        accepted = False
-                    if accepted:
+                    if pending < max_queue:
+                        node_queues[index].append(packet)
+                        pending += 1
                         if not bus._busy:
                             bus._busy = True
-                            if (ring_ok and slot_pending == 1
+                            if fifo is not None:
+                                # An idle FIFO bus has nothing else
+                                # queued: the grant is the packet just
+                                # appended, with no access delay.
+                                pending -= 1
+                                packet2 = fifo.popleft()
+                                access_delay = 0.0
+                            elif (ring_ok and pending == 1
                                     and win_l[index] is not None):
                                 # The bus was idle, so nothing else is
                                 # backlogged: the packet just queued is
@@ -1126,7 +1022,7 @@ class BodyNetworkSimulator:
                                 # window (the access arithmetic mirrors
                                 # the ring walk's expressions exactly).
                                 node_queues[index].popleft()
-                                slot_pending = 0
+                                pending = 0
                                 offset, width = win_l[index]
                                 frame_start = (floor_(t / superframe)
                                                * superframe)
@@ -1142,60 +1038,55 @@ class BodyNetworkSimulator:
                                         access = (frame_start
                                                   + 2.0 * superframe
                                                   + offset)
-                                grant = (packet, access - t)
+                                packet2 = packet
+                                access_delay = access - t
                             else:
-                                if slotted_fast:
-                                    policy._pending = slot_pending
-                                grant = next_grant(t)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
+                                policy._pending = pending
+                                packet2, access_delay = next_grant(t)
+                                pending = policy._pending
+                                if tdma:
                                     _rehoist_ring()
-                            if grant is None:
-                                bus._busy = False
-                            else:
-                                packet2, access_delay = grant
-                                service = packet2._service
+                            service = packet2._service
+                            if service is None:
+                                service = service_cache.get(
+                                    (packet2.source, packet2.bits))
                                 if service is None:
-                                    service = service_cache.get(
-                                        (packet2.source, packet2.bits))
-                                    if service is None:
-                                        service = \
-                                            bus.service_time_seconds(packet2)
-                                busy_s += service
-                                chain_packet = packet2
-                                chain_service = service
-                                if access_delay == 0.0:
-                                    packet2.queued_at = t
-                                    chain_key = (t + service, seq)
+                                    service = \
+                                        bus.service_time_seconds(packet2)
+                            busy_s += service
+                            chain_packet = packet2
+                            chain_service = service
+                            if access_delay == 0.0:
+                                packet2.queued_at = t
+                                chain_key = (t + service, seq)
+                                chain_kind = 1
+                                seq += 1
+                            else:
+                                begin_t = t + access_delay
+                                # Begin fusion, with one extra claim to
+                                # account for: this node's own
+                                # reschedule (pushed below) claims
+                                # before the begin would dispatch.
+                                if (begin_t <= end_time
+                                        and ctrl_key[0] > begin_t
+                                        and (gen_heap[0][0] if gen_heap
+                                             else inf_) > begin_t
+                                        and (next_time > begin_t
+                                             or next_time > end_time)):
+                                    packet2.queued_at = begin_t
+                                    chain_key = (
+                                        begin_t + service,
+                                        seq + (2 if next_time <= end_time
+                                               else 1))
                                     chain_kind = 1
                                     seq += 1
+                                    fused = True
                                 else:
-                                    begin_t = t + access_delay
-                                    # Begin fusion, with one extra claim
-                                    # to account for: this node's own
-                                    # reschedule (pushed below) claims
-                                    # before the begin would dispatch.
-                                    if (begin_t <= end_time
-                                            and ctrl_key[0] > begin_t
-                                            and (gen_heap[0][0] if gen_heap
-                                                 else inf_) > begin_t
-                                            and (next_time > begin_t
-                                                 or next_time > end_time)):
-                                        packet2.queued_at = begin_t
-                                        chain_key = (
-                                            begin_t + service,
-                                            seq + (2 if next_time <= end_time
-                                                   else 1))
-                                        chain_kind = 1
-                                        seq += 1
-                                        fused = True
-                                    else:
-                                        chain_key = (begin_t, seq)
-                                        chain_kind = 0
-                                        seq += 1
-                                barrier = (chain_key
-                                           if chain_key < ctrl_key
-                                           else ctrl_key)
+                                    chain_key = (begin_t, seq)
+                                    chain_kind = 0
+                                    seq += 1
+                            barrier = (chain_key if chain_key < ctrl_key
+                                       else ctrl_key)
                         sent_counts[index] += 1
                         bits_l[index] += bits
                     else:
@@ -1213,12 +1104,14 @@ class BodyNetworkSimulator:
                 if chain_kind:
                     # Transmission completes.
                     packet = chain_packet
+                    erased = False
                     if reliability is not None:
                         packet.attempts += 1
                         ridx = packet._node
                         if ridx is None:
                             ridx = node_index[packet.source]
                         if reliability.draw_erasure(packet.source):
+                            erased = True
                             stats.erased_attempts += 1
                             node_list[ridx].erased_attempts += 1
                             if fast_flags[ridx]:
@@ -1257,136 +1150,22 @@ class BodyNetworkSimulator:
                                                          t)
                             else:
                                 queue._now = t  # the accounting reads it
-                                if slotted_fast:  # the drain may purge
-                                    policy._pending = slot_pending
+                                policy._pending = pending  # it may purge
                                 self._account_attempt(packet, False)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
-                            if attempt_extras:
-                                _sync_shared(t)
-                                for callback in attempt_extras:
-                                    callback(packet, False)
-                                _reload_shared()
+                                pending = policy._pending
                             if (arq is not None
                                     and arq.may_retry(packet.attempts)
                                     and packet.source not in purged):
+                                # Retransmissions re-enter the node's
+                                # queue past the admission bound: the
+                                # packet already owns its buffer slot.
                                 stats.retransmissions += 1
-                                if slotted_fast:
-                                    # The source is a known node, so
-                                    # ``enqueue`` reduces to an append
-                                    # and a pending bump.
-                                    node_queues[ridx].append(packet)
-                                    slot_pending += 1
-                                else:
-                                    enqueue(packet)
+                                node_queues[ridx].append(packet)
+                                pending += 1
                             else:
                                 stats.lost_packets += 1
                                 self._account_loss(packet)
-                                if loss_extras:
-                                    _sync_shared(t)
-                                    for callback in loss_extras:
-                                        callback(packet)
-                                    _reload_shared()
-                            # Grant the next transmission — the same
-                            # inline slot-ring walk as the delivery
-                            # site.
-                            packet2 = None
-                            if ring_ok:
-                                if slot_pending == 0:
-                                    bus._busy = False
-                                else:
-                                    frame_start = (floor_(t / superframe)
-                                                   * superframe)
-                                    anchor = bisect_(ring_starts,
-                                                     t - frame_start) - 1
-                                    if anchor >= 0:
-                                        offset, width, nq = ring[anchor]
-                                        if nq and t < (frame_start
-                                                       + offset + width):
-                                            slot_pending -= 1
-                                            packet2 = nq.popleft()
-                                            access_delay = \
-                                                max_(t, frame_start
-                                                     + offset) - t
-                                    if packet2 is None:
-                                        count = len_(ring)
-                                        for step in range(1, count + 1):
-                                            offset, width, nq = \
-                                                ring[(anchor + step)
-                                                     % count]
-                                            if nq:
-                                                start = (frame_start
-                                                         + offset)
-                                                if t < start + width:
-                                                    access = (t
-                                                              if t > start
-                                                              else start)
-                                                else:
-                                                    start = (frame_start
-                                                             + superframe
-                                                             + offset)
-                                                    if t < start + width:
-                                                        access = (
-                                                            t if t > start
-                                                            else start)
-                                                    else:
-                                                        access = (
-                                                            frame_start
-                                                            + 2.0
-                                                            * superframe
-                                                            + offset)
-                                                slot_pending -= 1
-                                                packet2 = nq.popleft()
-                                                access_delay = access - t
-                                                break
-                                        else:
-                                            raise SimulationError(
-                                                "pending count out of "
-                                                "sync with queues")
-                            else:
-                                if slotted_fast:
-                                    policy._pending = slot_pending
-                                grant = next_grant(t)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
-                                    _rehoist_ring()
-                                if grant is None:
-                                    bus._busy = False
-                                else:
-                                    packet2, access_delay = grant
-                            if packet2 is not None:
-                                service = packet2._service
-                                if service is None:
-                                    service = service_cache.get(
-                                        (packet2.source, packet2.bits))
-                                    if service is None:
-                                        service = \
-                                            bus.service_time_seconds(packet2)
-                                busy_s += service
-                                chain_packet = packet2
-                                chain_service = service
-                                if access_delay == 0.0:
-                                    packet2.queued_at = t
-                                    chain_key = (t + service, seq)
-                                    chain_kind = 1
-                                    seq += 1
-                                else:
-                                    begin_t = t + access_delay
-                                    if (begin_t <= end_time
-                                            and ctrl_key[0] > begin_t
-                                            and (gen_heap[0][0] if gen_heap
-                                                 else inf_) > begin_t):
-                                        packet2.queued_at = begin_t
-                                        chain_key = (begin_t + service,
-                                                     seq + 1)
-                                        chain_kind = 1
-                                        seq += 2
-                                    else:
-                                        chain_key = (begin_t, seq)
-                                        chain_kind = 0
-                                        seq += 1
-                            continue
-                        if fast_flags[ridx]:
+                        elif fast_flags[ridx]:
                             if ack_posting:
                                 # Inline successful-attempt accounting:
                                 # the frame energy flows through the
@@ -1419,110 +1198,105 @@ class BodyNetworkSimulator:
                                                          hub_ack_e, t)
                         else:
                             queue._now = t  # the accounting reads it
-                            if slotted_fast:  # the ack drain may purge
-                                policy._pending = slot_pending
+                            policy._pending = pending  # the drain may purge
                             self._account_attempt(packet, True)
-                            if slotted_fast:
-                                slot_pending = policy._pending
-                        if attempt_extras:
-                            _sync_shared(t)
-                            for callback in attempt_extras:
-                                callback(packet, True)
-                            _reload_shared()
-                    packet.delivered_at = t
-                    bits = packet.bits
-                    delivered_cnt += 1
-                    delivered_bits_sum += bits
-                    cnt += 1
-                    value = t - packet.created_at
-                    if lat_list is not None:
-                        lat_list.append(value)
-                        if len_(lat_list) > lat_cap:
-                            # The spill reads the shared extrema; fold the
-                            # window's (min/max are order-independent) and
-                            # sync first.
-                            low = min(lat_list)
-                            if low < lat_min:
-                                lat_min = low
-                            high = max(lat_list)
-                            if high > lat_max:
-                                lat_max = high
-                            latency.count = cnt
-                            latency._min = lat_min
-                            latency._max = lat_max
-                            latency._spill()
-                            lat_list = None
-                    else:
-                        lat_pending.append(value)
-                        if len_(lat_pending) >= lat_flush:
-                            # The flush clears the buffer; fold its
-                            # extrema before they are gone.
-                            low = min(lat_pending)
-                            if low < lat_min:
-                                lat_min = low
-                            high = max(lat_pending)
-                            if high > lat_max:
-                                lat_max = high
-                            latency._flush_pending()
-                    idx = packet._node
-                    if idx is None:
-                        idx = node_index[packet.source]
-                    tx_energy = bits * tx_e[idx]
-                    if fast_flags[idx]:
-                        wir_acc[idx] += tx_energy
-                        grand_acc[idx] += tx_energy
-                        tx_posts_l[idx] += 1
-                        bucket = int_(t / trace_w_l[idx])
-                        last = trace_last_l[idx]
-                        trace_l[idx][bucket if bucket < last else last] \
-                            += tx_energy
-                        deliv_counts[idx] += 1
-                    else:
-                        node = node_list[idx]
-                        if node.energy is None:
-                            node.ledger.post_fast("wir_tx", tx_energy, t)
-                            node.packets_delivered += 1
+                            pending = policy._pending
+                    if not erased:
+                        packet.delivered_at = t
+                        bits = packet.bits
+                        delivered_cnt += 1
+                        delivered_bits_sum += bits
+                        cnt += 1
+                        value = t - packet.created_at
+                        if lat_list is not None:
+                            lat_list.append(value)
+                            if len_(lat_list) > lat_cap:
+                                # The spill reads the shared extrema;
+                                # fold the window's (min/max are
+                                # order-independent) and sync first.
+                                low = min(lat_list)
+                                if low < lat_min:
+                                    lat_min = low
+                                high = max(lat_list)
+                                if high > lat_max:
+                                    lat_max = high
+                                latency.count = cnt
+                                latency._min = lat_min
+                                latency._max = lat_max
+                                latency._spill()
+                                lat_list = None
                         else:
-                            was_alive = node.energy.alive
-                            node.energy.drain("wir_tx", tx_energy, t)
-                            if was_alive:
+                            lat_pending.append(value)
+                            if len_(lat_pending) >= lat_flush:
+                                # The flush clears the buffer; fold its
+                                # extrema before they are gone.
+                                low = min(lat_pending)
+                                if low < lat_min:
+                                    lat_min = low
+                                high = max(lat_pending)
+                                if high > lat_max:
+                                    lat_max = high
+                                latency._flush_pending()
+                        idx = packet._node
+                        if idx is None:
+                            idx = node_index[packet.source]
+                        tx_energy = bits * tx_e[idx]
+                        if fast_flags[idx]:
+                            wir_acc[idx] += tx_energy
+                            grand_acc[idx] += tx_energy
+                            tx_posts_l[idx] += 1
+                            bucket = int_(t / trace_w_l[idx])
+                            last = trace_last_l[idx]
+                            trace_l[idx][bucket if bucket < last else last] \
+                                += tx_energy
+                            deliv_counts[idx] += 1
+                        else:
+                            node = node_list[idx]
+                            if node.energy is None:
+                                node.ledger.post_fast("wir_tx", tx_energy, t)
                                 node.packets_delivered += 1
-                            if not node.energy.alive:
-                                if slotted_fast:  # the death purges
-                                    policy._pending = slot_pending
-                                self._record_death(node)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
-                    if hub_fast:
-                        rx_energy = bits * rx_e[idx]
-                        hub_rx_acc += rx_energy
-                        hub_grand += rx_energy
-                        hub_posts += 1
-                        q = t / hub_w
-                        if q >= hub_limit:
-                            hub_bucket = int_(q)
-                            if hub_bucket >= hub_last:
-                                hub_bucket = hub_last
-                                hub_limit = inf_
                             else:
-                                hub_limit = hub_bucket + 1.0
-                        hub_trace[hub_bucket] += rx_energy
-                    else:
-                        hub_ledger.post_fast("wir_rx", bits * rx_e[idx], t)
-                    if delivery_extras:
-                        _sync_shared(t)
-                        for callback in delivery_extras:
-                            callback(packet)
-                        _reload_shared()
+                                was_alive = node.energy.alive
+                                node.energy.drain("wir_tx", tx_energy, t)
+                                if was_alive:
+                                    node.packets_delivered += 1
+                                if not node.energy.alive:
+                                    policy._pending = pending  # it purges
+                                    self._record_death(node)
+                                    pending = policy._pending
+                        if hub_fast:
+                            rx_energy = bits * rx_e[idx]
+                            hub_rx_acc += rx_energy
+                            hub_grand += rx_energy
+                            hub_posts += 1
+                            q = t / hub_w
+                            if q >= hub_limit:
+                                hub_bucket = int_(q)
+                                if hub_bucket >= hub_last:
+                                    hub_bucket = hub_last
+                                    hub_limit = inf_
+                                else:
+                                    hub_limit = hub_bucket + 1.0
+                            hub_trace[hub_bucket] += rx_energy
+                        else:
+                            hub_ledger.post_fast("wir_rx", bits * rx_e[idx],
+                                                 t)
                     # Grant the next transmission.  The TDMA slot-ring
                     # walk is replicated inline (same expressions, same
                     # association order as ``TDMAArbitration.next_grant``);
-                    # anything else — including a TDMA whose slot table
-                    # was invalidated or failed the disjoint-windows
-                    # check — takes the method call.
+                    # polling — and a TDMA whose slot table was
+                    # invalidated or failed the disjoint-windows check —
+                    # takes the method call.
                     packet2 = None
-                    if ring_ok:
-                        if slot_pending == 0:
+                    if fifo is not None:
+                        if pending:
+                            pending -= 1
+                            packet2 = fifo.popleft()
+                            access_delay = 0.0
+                        else:
+                            bus._busy = False
+                    elif ring_ok:
+                        if pending == 0:
                             bus._busy = False
                         else:
                             frame_start = floor_(t / superframe) * superframe
@@ -1531,7 +1305,7 @@ class BodyNetworkSimulator:
                             if anchor >= 0:
                                 offset, width, nq = ring[anchor]
                                 if nq and t < frame_start + offset + width:
-                                    slot_pending -= 1
+                                    pending -= 1
                                     packet2 = nq.popleft()
                                     access_delay = \
                                         max_(t, frame_start + offset) - t
@@ -1554,7 +1328,7 @@ class BodyNetworkSimulator:
                                                 access = (frame_start
                                                           + 2.0 * superframe
                                                           + offset)
-                                        slot_pending -= 1
+                                        pending -= 1
                                         packet2 = nq.popleft()
                                         access_delay = access - t
                                         break
@@ -1563,11 +1337,10 @@ class BodyNetworkSimulator:
                                         "pending count out of sync "
                                         "with queues")
                     else:
-                        if slotted_fast:
-                            policy._pending = slot_pending
+                        policy._pending = pending
                         grant = next_grant(t)
-                        if slotted_fast:
-                            slot_pending = policy._pending
+                        pending = policy._pending
+                        if tdma:
                             _rehoist_ring()
                         if grant is None:
                             bus._busy = False
@@ -1617,27 +1390,20 @@ class BodyNetworkSimulator:
                     chain_kind = 1
                     seq += 1
             else:
-                # Control callbacks (energy ticks, posture events) see
-                # consistent per-node traffic counters and may schedule
-                # or claim; sync the counters around the dispatch.
+                # Control callbacks (energy ticks, posture events,
+                # controllers) see consistent per-node traffic counters
+                # and backlog, and may schedule, claim, purge or
+                # re-stride; sync around the dispatch.
                 queue._seq = seq
-                if slotted_fast:
-                    policy._pending = slot_pending
+                policy._pending = pending
                 _publish_nodes()
                 queue.step()
                 seq = queue._seq
-                if slotted_fast:
-                    slot_pending = policy._pending
-                _rehoist_ring()
+                pending = policy._pending
+                if tdma:
+                    _rehoist_ring()
                 _reload_nodes()
                 ctrl_key = queue.peek_key() or sentinel
-                foreign = bus._chain
-                if foreign is not None:
-                    bus._chain = None
-                    chain_key = (foreign[0], foreign[1])
-                    chain_kind = foreign[2]
-                    chain_packet = foreign[3]
-                    chain_service = foreign[4]
 
         stats.delivered_packets = delivered_cnt
         stats.delivered_bits = delivered_bits_sum
@@ -1684,8 +1450,7 @@ class BodyNetworkSimulator:
                 hub_ledger._totals["ack_tx"] = hub_ack_acc
             hub_ledger._grand_total = hub_grand
             hub_ledger._posted_count = hub_posts
-        if slotted_fast:
-            policy._pending = slot_pending
+        policy._pending = pending
         bus._chain = (None if chain_key is sentinel else
                       (chain_key[0], chain_key[1], chain_kind, chain_packet,
                        chain_service))
@@ -1701,8 +1466,8 @@ class BodyNetworkSimulator:
         whichever is nearer.  When the engine refuses — transient queue
         state, non-stationary PER, a battery approaching a threshold —
         the exact kernel runs a short settle chunk and the detector tries
-        again.  A statically ineligible workload (Poisson sources, user
-        callbacks) degenerates to a single exact kernel call, which is
+        again.  A statically ineligible workload (Poisson sources, a
+        node count at the queue bound) degenerates to a single exact kernel call, which is
         bit-identical to ``fast_path`` off.
         """
         from .macrotick import MacroTickEngine

@@ -7,6 +7,7 @@ import pytest
 from repro import units
 from repro.comm.eqs_hbc import wir_commercial
 from repro.errors import SimulationError
+from repro.netsim.arbitration import FIFOArbitration
 from repro.netsim.bus import SharedBus
 from repro.netsim.events import EventQueue
 from repro.netsim.packet import Packet
@@ -159,6 +160,27 @@ class TestBodyNetworkSimulator:
     def test_run_requires_nodes(self):
         with pytest.raises(SimulationError):
             self.make_simulator().run(1.0)
+
+    def test_subclassed_policy_rejected(self):
+        class CustomFIFO(FIFOArbitration):
+            pass
+
+        with pytest.raises(SimulationError, match="unsupported arbitration"):
+            BodyNetworkSimulator(wir_commercial(), arbitration=CustomFIFO())
+
+    def test_medium_callbacks_closed(self):
+        bus = self.make_simulator().bus
+        for register in (bus.on_delivery, bus.on_attempt, bus.on_loss):
+            with pytest.raises(SimulationError, match="only data path"):
+                register(lambda *args: None)
+
+    def test_medium_submit_closed(self):
+        simulator = self.make_simulator()
+        simulator.attach(NodeConfig("a", PeriodicSource.from_rate(3_000.0)))
+        with pytest.raises(SimulationError, match="only data path"):
+            simulator.bus.submit(Packet("a", "hub", 100.0, 0.0))
+        assert simulator.bus.policy.pending_count() == 0
+        assert simulator.run(5.0).delivered_packets > 0
 
     def test_describe(self):
         simulator = self.make_simulator()
