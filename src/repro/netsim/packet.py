@@ -41,8 +41,8 @@ class Packet:
         #: Serialisation time pre-resolved by the simulator kernel for
         #: fixed-size sources; ``None`` means look it up on the medium.
         self._service: float | None = None
-        #: Source node's index in the kernel's per-node tables; ``None``
-        #: outside the kernel's periodic fast path.
+        #: Source node's index in the kernel's per-node tables (set on
+        #: every packet the kernel generates); ``None`` outside it.
         self._node: int | None = None
 
     @property

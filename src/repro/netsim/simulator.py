@@ -414,7 +414,7 @@ class BodyNetworkSimulator:
         self._pre_account_hooks: list[Callable[[float], None]] = []
         if type(self.bus.policy) not in _KERNEL_POLICIES:
             raise SimulationError(
-                f"unsupported arbitration policy "
+                "unsupported arbitration policy "
                 f"{type(self.bus.policy).__name__}: the simulator runs "
                 "exactly FIFOArbitration, TDMAArbitration or "
                 "HubPollingArbitration")
@@ -751,7 +751,6 @@ class BodyNetworkSimulator:
         # are bit-identical.
         node_list = list(nodes.values())
         n_nodes = len(node_list)
-        node_index = {node.name: i for i, node in enumerate(node_list)}
         # (period, bits, service, name) for plain periodic sources —
         # their draws consume no randomness and every packet serialises
         # in the same time, so both lookups can be skipped outright.
@@ -1108,8 +1107,6 @@ class BodyNetworkSimulator:
                     if reliability is not None:
                         packet.attempts += 1
                         ridx = packet._node
-                        if ridx is None:
-                            ridx = node_index[packet.source]
                         if reliability.draw_erasure(packet.source):
                             erased = True
                             stats.erased_attempts += 1
@@ -1238,8 +1235,6 @@ class BodyNetworkSimulator:
                                     lat_max = high
                                 latency._flush_pending()
                         idx = packet._node
-                        if idx is None:
-                            idx = node_index[packet.source]
                         tx_energy = bits * tx_e[idx]
                         if fast_flags[idx]:
                             wir_acc[idx] += tx_energy
