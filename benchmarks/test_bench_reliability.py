@@ -56,11 +56,8 @@ def test_bench_commute_walk_lossy_hour(benchmark):
     profile = spec.reliability_profile()
     expected_attempts = max(attempts for _, attempts in profile.values())
     assert 1.0 < result.attempts_per_delivered < expected_attempts + 0.1
-    # Flat memory over the lossy hour: streaming ledgers retain nothing,
-    # and the latency accumulator spilled out of its exact window.
-    for node in simulator.nodes.values():
-        assert node.ledger.retained_entries == 0
-    assert simulator.hub_ledger.retained_entries == 0
+    # Flat memory over the lossy hour: the latency accumulator spilled
+    # out of its exact window.
     accumulator = simulator.bus.stats.latency
     assert not accumulator.is_exact
     assert accumulator.retained_samples == 0

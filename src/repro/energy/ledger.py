@@ -2,28 +2,23 @@
 
 An :class:`EnergyLedger` records how much energy each named component of a
 node (sensor AFE, ISA block, radio, CPU, ...) has consumed.  The network
-simulator and the architecture comparison both post entries here so that
+simulator and the architecture comparison both post energy here so that
 the Fig. 1 power breakdown can be regenerated from simulated activity as
 well as from closed-form budgets.
 
-The ledger is dual-mode:
-
-* **streaming** (the default) — only O(1) state is kept per component: a
-  running total, a running grand total and a fixed-width time-bucketed
-  power trace.  Posting is O(1) and memory stays flat however many
-  entries a multi-hour simulation posts.
-* **exact** (``keep_entries=True``) — every :class:`LedgerEntry` is also
-  retained, which figure-regeneration and debugging workflows can replay.
-
-Both modes maintain the same running totals with the same addition
-order, so queries are bit-identical across modes, and exact-mode totals
-are bit-identical to re-summing the entry list.
+The ledger is streaming: only O(1) state is kept per component — a
+running total, a running grand total, a post count and a fixed-width
+time-bucketed power trace — so memory stays flat however many posts a
+multi-hour simulation makes.  Every point post runs through one body,
+:meth:`EnergyLedger.post_fast`; :meth:`~EnergyLedger.post`,
+:meth:`~EnergyLedger.post_power` and :meth:`~EnergyLedger.post_interval`
+are the validated entry points.  Totals add in posting order, so each one
+is the left-to-right float sum of the energy posted to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,26 +32,11 @@ DEFAULT_TRACE_BUCKET_SECONDS = 60.0
 DEFAULT_TRACE_BUCKETS = 64
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One posted energy expenditure."""
-
-    component: str
-    energy_joules: float
-    duration_seconds: float
-    timestamp_seconds: float
-    note: str = ""
-
-
 class EnergyLedger:
     """Accumulates energy per component and exposes breakdown summaries.
 
     Parameters
     ----------
-    keep_entries:
-        Retain the full :class:`LedgerEntry` list (exact mode).  Off by
-        default: the streaming mode keeps only running totals and the
-        bucketed power trace, so memory does not grow with activity.
     trace_bucket_seconds:
         Width of one power-trace bucket.
     trace_buckets:
@@ -64,7 +44,7 @@ class EnergyLedger:
         lands in the last bucket.
     """
 
-    def __init__(self, keep_entries: bool = False,
+    def __init__(self,
                  trace_bucket_seconds: float = DEFAULT_TRACE_BUCKET_SECONDS,
                  trace_buckets: int = DEFAULT_TRACE_BUCKETS) -> None:
         if trace_bucket_seconds <= 0:
@@ -73,7 +53,6 @@ class EnergyLedger:
             raise EnergyError("trace needs at least one bucket")
         self.trace_bucket_seconds = trace_bucket_seconds
         self.trace_buckets = trace_buckets
-        self.entries: list[LedgerEntry] | None = [] if keep_entries else None
         self._totals: dict[str, float] = {}
         self._grand_total = 0.0
         self._posted_count = 0
@@ -87,46 +66,31 @@ class EnergyLedger:
 
     def post(self, component: str, energy_joules: float,
              duration_seconds: float = 0.0,
-             timestamp_seconds: float = 0.0, note: str = "") -> LedgerEntry:
-        """Record that *component* consumed *energy_joules*."""
-        if energy_joules < 0:
-            raise EnergyError(f"cannot post negative energy: {energy_joules}")
-        if duration_seconds < 0:
+             timestamp_seconds: float = 0.0) -> None:
+        """Record that *component* consumed *energy_joules*.
+
+        Rejects negative or non-finite energy, a negative or NaN
+        duration and a non-finite timestamp with :class:`EnergyError`
+        before any state changes.
+        """
+        if not 0.0 <= energy_joules < math.inf:
+            raise EnergyError(
+                f"energy must be finite and non-negative: {energy_joules}")
+        if not duration_seconds >= 0:
             raise EnergyError(f"duration must be non-negative: {duration_seconds}")
-        entry = LedgerEntry(
-            component=component,
-            energy_joules=energy_joules,
-            duration_seconds=duration_seconds,
-            timestamp_seconds=timestamp_seconds,
-            note=note,
-        )
-        if self.entries is not None:
-            self.entries.append(entry)
-        self._totals[component] = (self._totals.get(component, 0.0)
-                                   + energy_joules)
-        self._grand_total += energy_joules
-        self._posted_count += 1
-        bucket = min(int(timestamp_seconds / self.trace_bucket_seconds),
-                     self.trace_buckets - 1)
-        self._trace[max(bucket, 0)] += energy_joules
-        return entry
+        if not math.isfinite(timestamp_seconds):
+            raise EnergyError(
+                f"timestamp must be finite: {timestamp_seconds}")
+        self.post_fast(component, energy_joules, timestamp_seconds)
 
     def post_fast(self, component: str, energy_joules: float,
                   timestamp_seconds: float) -> None:
-        """Streaming-mode :meth:`post` without the :class:`LedgerEntry`.
+        """Unvalidated point post: the one body every point post runs.
 
-        The simulator kernel posts radio energy once or more per packet;
-        constructing (and immediately discarding) a frozen dataclass per
-        post dominated that path.  This keeps the exact same running
-        totals and trace in the same addition order, but skips entry
-        construction, validation (callers pass non-negative energy by
-        construction) and the unused duration/note fields.  Falls back
-        to :meth:`post` in exact mode so the entry list stays complete.
+        Callers that produce non-negative, finite energy and a finite
+        timestamp by construction (the energy runtime's drains) call it
+        directly; everything else goes through :meth:`post`.
         """
-        if self.entries is not None:
-            self.post(component, energy_joules,
-                      timestamp_seconds=timestamp_seconds)
-            return
         self._totals[component] = (self._totals.get(component, 0.0)
                                    + energy_joules)
         self._grand_total += energy_joules
@@ -140,21 +104,17 @@ class EnergyLedger:
 
     def post_power(self, component: str, power_watts: float,
                    duration_seconds: float,
-                   timestamp_seconds: float = 0.0, note: str = "") -> LedgerEntry:
+                   timestamp_seconds: float = 0.0) -> None:
         """Record a constant *power_watts* drawn for *duration_seconds*."""
-        if power_watts < 0:
-            raise EnergyError(f"power must be non-negative: {power_watts}")
-        return self.post(
-            component,
-            energy_joules=power_watts * duration_seconds,
-            duration_seconds=duration_seconds,
-            timestamp_seconds=timestamp_seconds,
-            note=note,
-        )
+        if not 0.0 <= power_watts < math.inf:
+            raise EnergyError(
+                f"power must be finite and non-negative: {power_watts}")
+        self.post(component, power_watts * duration_seconds,
+                  duration_seconds=duration_seconds,
+                  timestamp_seconds=timestamp_seconds)
 
     def post_interval(self, component: str, energy_joules: float,
-                      start_seconds: float, end_seconds: float,
-                      note: str = "") -> None:
+                      start_seconds: float, end_seconds: float) -> None:
         """Record energy consumed uniformly over ``[start, end)``.
 
         The macro-tick fast path posts one entry per component per leap
@@ -169,31 +129,26 @@ class EnergyLedger:
         or so small that ``energy / span`` overflows — degenerates to a
         point post into the start bucket.
         """
-        if energy_joules < 0:
-            raise EnergyError(f"cannot post negative energy: {energy_joules}")
+        if not 0.0 <= energy_joules < math.inf:
+            raise EnergyError(
+                f"energy must be finite and non-negative: {energy_joules}")
+        if not (math.isfinite(start_seconds) and math.isfinite(end_seconds)):
+            raise EnergyError(
+                f"interval [{start_seconds}, {end_seconds}) must be finite")
         if end_seconds < start_seconds:
             raise EnergyError(
                 f"interval end {end_seconds} precedes start {start_seconds}")
         duration = end_seconds - start_seconds
-        if self.entries is not None:
-            self.entries.append(LedgerEntry(
-                component=component,
-                energy_joules=energy_joules,
-                duration_seconds=duration,
-                timestamp_seconds=start_seconds,
-                note=note,
-            ))
+        density = energy_joules / duration if duration > 0.0 else math.inf
+        if not math.isfinite(density):
+            self.post_fast(component, energy_joules, start_seconds)
+            return
         self._totals[component] = (self._totals.get(component, 0.0)
                                    + energy_joules)
         self._grand_total += energy_joules
         self._posted_count += 1
         width = self.trace_bucket_seconds
         last = self.trace_buckets - 1
-        density = energy_joules / duration if duration > 0.0 else math.inf
-        if not math.isfinite(density):
-            bucket = min(int(start_seconds / width), last)
-            self._trace[max(bucket, 0)] += energy_joules
-            return
         trace = self._trace
         first = max(min(int(start_seconds / width), last), 0)
         cursor = start_seconds
@@ -214,19 +169,9 @@ class EnergyLedger:
     # -- queries -----------------------------------------------------------
 
     @property
-    def keeps_entries(self) -> bool:
-        """Whether the ledger retains the exact entry list."""
-        return self.entries is not None
-
-    @property
     def posted_count(self) -> int:
-        """How many entries have been posted (both modes)."""
+        """How many posts the ledger has recorded."""
         return self._posted_count
-
-    @property
-    def retained_entries(self) -> int:
-        """Entries currently held in memory (0 in streaming mode)."""
-        return len(self.entries) if self.entries is not None else 0
 
     def total_energy(self, component: str | None = None) -> float:
         """Total posted energy, optionally restricted to one component."""
@@ -270,22 +215,17 @@ class EnergyLedger:
         Per-component and grand totals add exactly (ordinary float sums
         in self-then-other order); component order is self's components
         followed by other's unseen ones; trace buckets add elementwise.
-        The merged ledger keeps entries only when both sides do.  Merging
-        requires identical trace configurations — cohort shards built
-        from the same spec always satisfy this.
+        Merging requires identical trace configurations — cohort shards
+        built from the same spec always satisfy this.
         """
         if (self.trace_bucket_seconds != other.trace_bucket_seconds
                 or self.trace_buckets != other.trace_buckets):
             raise EnergyError(
                 "cannot merge ledgers with different trace configurations")
         merged = EnergyLedger(
-            keep_entries=self.keeps_entries and other.keeps_entries,
             trace_bucket_seconds=self.trace_bucket_seconds,
             trace_buckets=self.trace_buckets,
         )
-        if merged.entries is not None:
-            merged.entries.extend(self.entries)
-            merged.entries.extend(other.entries)
         merged._totals = dict(self._totals)
         for component, energy in other._totals.items():
             merged._totals[component] = (merged._totals.get(component, 0.0)
@@ -297,9 +237,7 @@ class EnergyLedger:
         return merged
 
     def clear(self) -> None:
-        """Drop all accumulated state (keeps the configured mode)."""
-        if self.entries is not None:
-            self.entries.clear()
+        """Drop all accumulated state (keeps the trace configuration)."""
         self._totals.clear()
         self._grand_total = 0.0
         self._posted_count = 0

@@ -159,24 +159,24 @@ class NodeEnergyState:
     # -- mutations ---------------------------------------------------------
 
     def drain(self, component: str, energy_joules: float,
-              timestamp_seconds: float, note: str = "") -> float:
+              timestamp_seconds: float) -> float:
         """Impulse drain (e.g. one packet's TX energy).
 
         Posts to the ledger and removes the energy from the battery,
         clipping at empty; an empty cell marks the node dead at
         *timestamp_seconds*.  Returns the energy actually delivered.
-        Dead nodes deliver nothing and post nothing.
+        Dead nodes deliver nothing and post nothing.  The energy is a
+        packet's (never negative, always finite), so it takes the
+        ledger's unvalidated point post.
         """
         if not self.alive:
             return 0.0
         if self.battery is None:
-            self.ledger.post(component, energy_joules,
-                             timestamp_seconds=timestamp_seconds, note=note)
+            self.ledger.post_fast(component, energy_joules, timestamp_seconds)
             return energy_joules
         delivered = self.battery.drain(energy_joules, clip=True)
         if delivered > 0.0:
-            self.ledger.post(component, delivered,
-                             timestamp_seconds=timestamp_seconds, note=note)
+            self.ledger.post_fast(component, delivered, timestamp_seconds)
         if self.battery.is_empty:
             self.death_seconds = timestamp_seconds
         return delivered

@@ -409,8 +409,9 @@ class BodyNetworkSimulator:
         #: Callables ``hook(duration_seconds)`` run by :meth:`run` after
         #: the kernel's ledger write-back and before the static-power
         #: accounting — the only safe point for post-hoc ledger posts
-        #: against fast-path nodes (the kernel write-back would clobber
-        #: anything posted mid-run).
+        #: against batteryless nodes and the hub (the kernel accumulates
+        #: their radio posts inline, and its write-back would clobber
+        #: anything posted to them mid-run).
         self._pre_account_hooks: list[Callable[[float], None]] = []
         if type(self.bus.policy) not in _KERNEL_POLICIES:
             raise SimulationError(
@@ -525,44 +526,6 @@ class BodyNetworkSimulator:
         if name not in self.nodes:
             raise SimulationError(f"unknown node {name!r}")
         self.reliability.set_error_rate(name, error_rate)
-
-    def _account_attempt(self, packet: Packet, success: bool) -> None:
-        """Energy of one transmission attempt on a lossy medium.
-
-        A successful attempt's frame energy flows through the kernel's
-        delivery accounting; here it only pays for its ack (leaf
-        receives, hub transmits).  A corrupted attempt pays the full
-        wasted frame — leaf transmit under ``wir_retx``, hub receive —
-        and gets no ack (the leaf times out).
-        """
-        node = self.nodes[packet.source]
-        now = self.queue.now
-        arq = self.reliability.arq if self.reliability is not None else None
-        if success:
-            if arq is None or arq.ack_bits == 0.0:
-                return
-            ack_energy = arq.ack_bits * node.technology.rx_energy_per_bit()
-            if node.energy is None:
-                node.ledger.post_fast("arq_ack", ack_energy, now)
-            else:
-                node.energy.drain("arq_ack", ack_energy, now)
-                if not node.energy.alive:
-                    self._record_death(node)
-            self.hub_ledger.post_fast(
-                "ack_tx", arq.ack_bits * self.technology.tx_energy_per_bit(),
-                now)
-            return
-        node.retx_bits += packet.bits
-        tx_energy = packet.bits * node.technology.tx_energy_per_bit()
-        if node.energy is None:
-            node.ledger.post_fast("wir_retx", tx_energy, now)
-        else:
-            node.energy.drain("wir_retx", tx_energy, now)
-            if not node.energy.alive:
-                self._record_death(node)
-        # The hub listened to the corrupted frame for its full length.
-        self.hub_ledger.post_fast(
-            "wir_rx", packet.bits * node.technology.rx_energy_per_bit(), now)
 
     def _account_loss(self, packet: Packet) -> None:
         """A packet the link gave up on: goodput and airtime bookkeeping.
@@ -703,9 +666,10 @@ class BodyNetworkSimulator:
         time), the latency accumulator's buffers (its extrema are folded
         in batch at spill/flush boundaries — min/max are
         order-independent), the backlog count, the sequence counter, the
-        chain, and each node's traffic counters and fast-path ledger
-        totals.  Everything is written back when the loop exits, with
-        every addition replayed in the legacy order.  Control-stream
+        chain, each node's traffic counters, and the radio-post
+        accumulators of every batteryless node's ledger and the hub's.
+        Everything is written back when the loop exits, with every
+        addition replayed in the legacy order.  Control-stream
         events, method grants and brownout purges observe consistent
         per-node traffic counters and backlog (synced around them).
         """
@@ -759,13 +723,15 @@ class BodyNetworkSimulator:
         node_queues: list = []
         tx_e: list[float] = []
         rx_e: list[float] = []
-        # A "fast" node's only mid-run ledger traffic is its own posts
-        # (``wir_tx`` deliveries, and on a lossy medium ``wir_retx``
-        # frames and ``arq_ack`` receptions), so they can accrue in
-        # plain table slots and land on the (still fresh) ledger in one
-        # write-back.  ``grand_acc`` replays every post in event order,
-        # so the grand total keeps the per-post float associativity.
-        fast_flags: list[bool] = []
+        # A batteryless node's only mid-run ledger traffic is its own
+        # posts (``wir_tx`` deliveries, and on a lossy medium
+        # ``wir_retx`` frames and ``arq_ack`` receptions), so they accrue
+        # in plain table slots seeded from the ledger's current totals
+        # and land on it in one write-back.  ``grand_acc`` replays every
+        # post in event order, so each total is the same left-to-right
+        # float sum the per-post route computes.  A battery node drains
+        # through its energy state instead (it can brown out mid-run).
+        batteryless: list[bool] = []
         wir_acc: list[float] = []
         retx_acc: list[float] = []
         ack_acc: list[float] = []
@@ -795,13 +761,12 @@ class BodyNetworkSimulator:
             rx_e.append(rx_val)
             ack_e_l.append(arq_ack_bits * rx_val)
             ledger = node.ledger
-            fast_flags.append(node.energy is None
-                              and ledger.entries is None
-                              and ledger._posted_count == 0)
-            wir_acc.append(0.0)
-            retx_acc.append(0.0)
-            ack_acc.append(0.0)
-            grand_acc.append(0.0)
+            totals = ledger._totals
+            batteryless.append(node.energy is None)
+            wir_acc.append(totals.get("wir_tx", 0.0))
+            retx_acc.append(totals.get("wir_retx", 0.0))
+            ack_acc.append(totals.get("arq_ack", 0.0))
+            grand_acc.append(ledger._grand_total)
             tx_posts_l.append(0)
             retx_posts_l.append(0)
             ack_posts_l.append(0)
@@ -863,16 +828,12 @@ class BodyNetworkSimulator:
             _rehoist_ring()
         self._schedule_energy_updates(end_time)
 
-        # On a lossy medium the attempt accounting posts to the hub too
-        # (wasted frames, ack transmissions); the hub can only go fast
-        # if every node does, otherwise a method-path attempt would
-        # interleave hub posts with the accumulated ones.
-        hub_fast = (hub_ledger.entries is None
-                    and hub_ledger._posted_count == 0
-                    and (reliability is None or all(fast_flags)))
-        hub_rx_acc = 0.0
-        hub_ack_acc = 0.0
-        hub_grand = 0.0
+        # The hub's radio posts (frame receptions, wasted frames and ack
+        # transmissions) accumulate the same way, in event order.
+        hub_totals = hub_ledger._totals
+        hub_rx_acc = hub_totals.get("wir_rx", 0.0)
+        hub_ack_acc = hub_totals.get("ack_tx", 0.0)
+        hub_grand = hub_ledger._grand_total
         hub_posts = 0
         hub_ack_posts = 0
         hub_trace = hub_ledger._trace
@@ -925,7 +886,7 @@ class BodyNetworkSimulator:
                 nd.generated_count = gen_counts[i]
                 nd.packets_sent = sent_counts[i]
                 nd.bits_sent = bits_l[i]
-                if fast_flags[i]:
+                if batteryless[i]:
                     nd.packets_delivered = deliv_counts[i]
 
         def _reload_nodes() -> None:
@@ -935,7 +896,7 @@ class BodyNetworkSimulator:
                 sent_counts[i] = nd.packets_sent
                 bits_l[i] = nd.bits_sent
                 stride_l[i] = nd.tx_stride
-                if fast_flags[i]:
+                if batteryless[i]:
                     deliv_counts[i] = nd.packets_delivered
 
         # Empty streams are represented by the (inf, inf) sentinel rather
@@ -1110,17 +1071,15 @@ class BodyNetworkSimulator:
                         if reliability.draw_erasure(packet.source):
                             erased = True
                             stats.erased_attempts += 1
-                            node_list[ridx].erased_attempts += 1
-                            if fast_flags[ridx]:
-                                # Inline failed-attempt accounting
-                                # (mirrors ``_account_attempt``): a
-                                # batteryless node has no drain/brownout
-                                # branch, so the wasted frame is exactly
-                                # two posts, accumulated like the
-                                # delivery path's.
-                                rbits = packet.bits
-                                node_list[ridx].retx_bits += rbits
-                                value = rbits * tx_e[ridx]
+                            node = node_list[ridx]
+                            node.erased_attempts += 1
+                            # The wasted frame: the leaf pays its transmit
+                            # under ``wir_retx`` and the hub its receive
+                            # (it listened for the full length); no ack.
+                            rbits = packet.bits
+                            node.retx_bits += rbits
+                            value = rbits * tx_e[ridx]
+                            if batteryless[ridx]:
                                 retx_acc[ridx] += value
                                 grand_acc[ridx] += value
                                 retx_posts_l[ridx] += 1
@@ -1128,28 +1087,25 @@ class BodyNetworkSimulator:
                                 last = trace_last_l[ridx]
                                 trace_l[ridx][bucket if bucket < last
                                               else last] += value
-                                value = rbits * rx_e[ridx]
-                                if hub_fast:
-                                    hub_rx_acc += value
-                                    hub_grand += value
-                                    hub_posts += 1
-                                    q = t / hub_w
-                                    if q >= hub_limit:
-                                        hub_bucket = int_(q)
-                                        if hub_bucket >= hub_last:
-                                            hub_bucket = hub_last
-                                            hub_limit = inf_
-                                        else:
-                                            hub_limit = hub_bucket + 1.0
-                                    hub_trace[hub_bucket] += value
-                                else:
-                                    hub_ledger.post_fast("wir_rx", value,
-                                                         t)
                             else:
-                                queue._now = t  # the accounting reads it
-                                policy._pending = pending  # it may purge
-                                self._account_attempt(packet, False)
-                                pending = policy._pending
+                                node.energy.drain("wir_retx", value, t)
+                                if not node.energy.alive:
+                                    policy._pending = pending  # it purges
+                                    self._record_death(node)
+                                    pending = policy._pending
+                            value = rbits * rx_e[ridx]
+                            hub_rx_acc += value
+                            hub_grand += value
+                            hub_posts += 1
+                            q = t / hub_w
+                            if q >= hub_limit:
+                                hub_bucket = int_(q)
+                                if hub_bucket >= hub_last:
+                                    hub_bucket = hub_last
+                                    hub_limit = inf_
+                                else:
+                                    hub_limit = hub_bucket + 1.0
+                            hub_trace[hub_bucket] += value
                             if (arq is not None
                                     and arq.may_retry(packet.attempts)
                                     and packet.source not in purged):
@@ -1162,13 +1118,12 @@ class BodyNetworkSimulator:
                             else:
                                 stats.lost_packets += 1
                                 self._account_loss(packet)
-                        elif fast_flags[ridx]:
-                            if ack_posting:
-                                # Inline successful-attempt accounting:
-                                # the frame energy flows through the
-                                # delivery path below; only the ack pair
-                                # posts here.
-                                value = ack_e_l[ridx]
+                        elif ack_posting:
+                            # The frame energy flows through the delivery
+                            # path below; only the ack pair posts here:
+                            # the leaf receives, the hub transmits.
+                            value = ack_e_l[ridx]
+                            if batteryless[ridx]:
                                 ack_acc[ridx] += value
                                 grand_acc[ridx] += value
                                 ack_posts_l[ridx] += 1
@@ -1176,28 +1131,26 @@ class BodyNetworkSimulator:
                                 last = trace_last_l[ridx]
                                 trace_l[ridx][bucket if bucket < last
                                               else last] += value
-                                if hub_fast:
-                                    hub_ack_acc += hub_ack_e
-                                    hub_grand += hub_ack_e
-                                    hub_posts += 1
-                                    hub_ack_posts += 1
-                                    q = t / hub_w
-                                    if q >= hub_limit:
-                                        hub_bucket = int_(q)
-                                        if hub_bucket >= hub_last:
-                                            hub_bucket = hub_last
-                                            hub_limit = inf_
-                                        else:
-                                            hub_limit = hub_bucket + 1.0
-                                    hub_trace[hub_bucket] += hub_ack_e
+                            else:
+                                node = node_list[ridx]
+                                node.energy.drain("arq_ack", value, t)
+                                if not node.energy.alive:
+                                    policy._pending = pending  # it purges
+                                    self._record_death(node)
+                                    pending = policy._pending
+                            hub_ack_acc += hub_ack_e
+                            hub_grand += hub_ack_e
+                            hub_posts += 1
+                            hub_ack_posts += 1
+                            q = t / hub_w
+                            if q >= hub_limit:
+                                hub_bucket = int_(q)
+                                if hub_bucket >= hub_last:
+                                    hub_bucket = hub_last
+                                    hub_limit = inf_
                                 else:
-                                    hub_ledger.post_fast("ack_tx",
-                                                         hub_ack_e, t)
-                        else:
-                            queue._now = t  # the accounting reads it
-                            policy._pending = pending  # the drain may purge
-                            self._account_attempt(packet, True)
-                            pending = policy._pending
+                                    hub_limit = hub_bucket + 1.0
+                            hub_trace[hub_bucket] += hub_ack_e
                     if not erased:
                         packet.delivered_at = t
                         bits = packet.bits
@@ -1236,7 +1189,7 @@ class BodyNetworkSimulator:
                                 latency._flush_pending()
                         idx = packet._node
                         tx_energy = bits * tx_e[idx]
-                        if fast_flags[idx]:
+                        if batteryless[idx]:
                             wir_acc[idx] += tx_energy
                             grand_acc[idx] += tx_energy
                             tx_posts_l[idx] += 1
@@ -1247,35 +1200,27 @@ class BodyNetworkSimulator:
                             deliv_counts[idx] += 1
                         else:
                             node = node_list[idx]
-                            if node.energy is None:
-                                node.ledger.post_fast("wir_tx", tx_energy, t)
+                            was_alive = node.energy.alive
+                            node.energy.drain("wir_tx", tx_energy, t)
+                            if was_alive:
                                 node.packets_delivered += 1
+                            if not node.energy.alive:
+                                policy._pending = pending  # it purges
+                                self._record_death(node)
+                                pending = policy._pending
+                        rx_energy = bits * rx_e[idx]
+                        hub_rx_acc += rx_energy
+                        hub_grand += rx_energy
+                        hub_posts += 1
+                        q = t / hub_w
+                        if q >= hub_limit:
+                            hub_bucket = int_(q)
+                            if hub_bucket >= hub_last:
+                                hub_bucket = hub_last
+                                hub_limit = inf_
                             else:
-                                was_alive = node.energy.alive
-                                node.energy.drain("wir_tx", tx_energy, t)
-                                if was_alive:
-                                    node.packets_delivered += 1
-                                if not node.energy.alive:
-                                    policy._pending = pending  # it purges
-                                    self._record_death(node)
-                                    pending = policy._pending
-                        if hub_fast:
-                            rx_energy = bits * rx_e[idx]
-                            hub_rx_acc += rx_energy
-                            hub_grand += rx_energy
-                            hub_posts += 1
-                            q = t / hub_w
-                            if q >= hub_limit:
-                                hub_bucket = int_(q)
-                                if hub_bucket >= hub_last:
-                                    hub_bucket = hub_last
-                                    hub_limit = inf_
-                                else:
-                                    hub_limit = hub_bucket + 1.0
-                            hub_trace[hub_bucket] += rx_energy
-                        else:
-                            hub_ledger.post_fast("wir_rx", bits * rx_e[idx],
-                                                 t)
+                                hub_limit = hub_bucket + 1.0
+                        hub_trace[hub_bucket] += rx_energy
                     # Grant the next transmission.  The TDMA slot-ring
                     # walk is replicated inline (same expressions, same
                     # association order as ``TDMAArbitration.next_grant``);
@@ -1417,15 +1362,16 @@ class BodyNetworkSimulator:
                 lat_max = high
         latency._min = lat_min
         latency._max = lat_max
-        # Fast-path ledgers were fresh at loop entry, so the write-back
-        # totals equal the posts replayed from zero in arrival order —
-        # the same floats the per-post path would have produced.
+        # The accumulators were seeded from the ledgers' totals at loop
+        # entry, so the write-back totals equal the posts replayed on top
+        # of them in arrival order — the same floats the per-post path
+        # would have produced.
         for i in range(n_nodes):
             nd = node_list[i]
             nd.generated_count = gen_counts[i]
             nd.packets_sent = sent_counts[i]
             nd.bits_sent = bits_l[i]
-            if fast_flags[i]:
+            if batteryless[i]:
                 nd.packets_delivered = deliv_counts[i]
                 posts = tx_posts_l[i] + retx_posts_l[i] + ack_posts_l[i]
                 if posts:
@@ -1437,14 +1383,14 @@ class BodyNetworkSimulator:
                     if ack_posts_l[i]:
                         ledger._totals["arq_ack"] = ack_acc[i]
                     ledger._grand_total = grand_acc[i]
-                    ledger._posted_count = posts
-        if hub_fast and hub_posts:
+                    ledger._posted_count += posts
+        if hub_posts:
             if hub_posts - hub_ack_posts:
-                hub_ledger._totals["wir_rx"] = hub_rx_acc
+                hub_totals["wir_rx"] = hub_rx_acc
             if hub_ack_posts:
-                hub_ledger._totals["ack_tx"] = hub_ack_acc
+                hub_totals["ack_tx"] = hub_ack_acc
             hub_ledger._grand_total = hub_grand
-            hub_ledger._posted_count = hub_posts
+            hub_ledger._posted_count += hub_posts
         policy._pending = pending
         bus._chain = (None if chain_key is sentinel else
                       (chain_key[0], chain_key[1], chain_kind, chain_packet,
@@ -1539,7 +1485,7 @@ class BodyNetworkSimulator:
             self._run_kernel(duration_seconds)
 
         # Post-kernel, pre-accounting: controller premiums and other
-        # deferred ledger posts land here, after the kernel's fast-path
+        # deferred ledger posts land here, after the kernel's ledger
         # write-back and before the averages read the totals.
         for hook in self._pre_account_hooks:
             hook(duration_seconds)
@@ -1550,24 +1496,28 @@ class BodyNetworkSimulator:
         harvested = 0.0
         for name, node in self.nodes.items():
             if node.energy is None:
-                # Static sensing / ISA power accrues for the whole run.
-                node.ledger.post_power("sensing", node.sensing_power_watts,
-                                       duration_seconds)
-                node.ledger.post_power("isa", node.isa_power_watts,
-                                       duration_seconds)
+                # Static sensing / ISA power accrues for the whole run,
+                # spread over it in the power trace.
+                ledger = node.ledger
+                ledger.post_interval(
+                    "sensing", node.sensing_power_watts * duration_seconds,
+                    0.0, duration_seconds)
+                ledger.post_interval(
+                    "isa", node.isa_power_watts * duration_seconds,
+                    0.0, duration_seconds)
                 if node.coding_power_watts > 0.0:
                     # Source-coder draw; gated so uncoded nodes post the
                     # exact same ledger sequence as before coding existed.
-                    node.ledger.post_power("coding",
-                                           node.coding_power_watts,
-                                           duration_seconds)
+                    ledger.post_interval(
+                        "coding", node.coding_power_watts * duration_seconds,
+                        0.0, duration_seconds)
                 # Sleep power of the transceiver when not transmitting.
                 tx_time = (node.bits_sent + node.retx_bits) \
                     / node.technology.data_rate_bps()
                 sleep_time = max(duration_seconds - tx_time, 0.0)
-                node.ledger.post_power("wir_sleep",
-                                       node.technology.sleep_power(),
-                                       sleep_time)
+                ledger.post_interval(
+                    "wir_sleep", node.technology.sleep_power() * sleep_time,
+                    0.0, duration_seconds)
             else:
                 # Settle the residual interval since the last energy tick.
                 self._settle_energy(node, duration_seconds)
@@ -1586,9 +1536,10 @@ class BodyNetworkSimulator:
         # sleeps otherwise; without this the hub ledger undercounts every
         # idle second of a duty-cycled day.
         rx_busy = min(stats.busy_seconds, duration_seconds)
-        self.hub_ledger.post_power("wir_sleep", self.technology.sleep_power(),
-                                   max(duration_seconds - rx_busy, 0.0),
-                                   timestamp_seconds=duration_seconds)
+        self.hub_ledger.post_interval(
+            "wir_sleep", (self.technology.sleep_power()
+                          * max(duration_seconds - rx_busy, 0.0)),
+            0.0, duration_seconds)
         if stats.latency.count:
             mean_latency = stats.mean_latency_seconds
             p99_latency = stats.latency_percentile(99.0)

@@ -95,45 +95,31 @@ class TestEnergyLedger:
 
 
 class TestStreamingMode:
-    """The default ledger keeps no entries yet answers identically."""
+    """The ledger keeps O(1) state per component yet answers exactly."""
 
     def test_default_ledger_retains_no_entries(self):
         ledger = EnergyLedger()
         for index in range(1000):
             ledger.post("radio", 0.001, timestamp_seconds=float(index))
-        assert not ledger.keeps_entries
-        assert ledger.entries is None
-        assert ledger.retained_entries == 0
         assert ledger.posted_count == 1000
 
-    def test_exact_mode_retains_entries(self):
-        ledger = EnergyLedger(keep_entries=True)
-        ledger.post("radio", 1.0)
-        ledger.post("cpu", 2.0)
-        assert ledger.keeps_entries
-        assert len(ledger.entries) == 2
-        assert ledger.retained_entries == 2
-
     def test_streaming_totals_bit_identical_to_exact(self):
-        """Running totals add in posting order — the same float sequence
-        the exact mode's entry re-scan would produce."""
+        """Running totals add in posting order — bit-identical to a
+        sequential left-to-right sum of the posted energies."""
         import random
 
         rng = random.Random(7)
         postings = [(rng.choice("abc"), rng.random()) for _ in range(500)]
-        streaming = EnergyLedger()
-        exact = EnergyLedger(keep_entries=True)
+        ledger = EnergyLedger()
+        grand = 0.0
+        totals: dict[str, float] = {}
         for component, energy in postings:
-            streaming.post(component, energy)
-            exact.post(component, energy)
-        assert streaming.total_energy() == exact.total_energy()
-        assert streaming.breakdown() == exact.breakdown()
-        assert streaming.components() == exact.components()
-        # And the exact mode's totals equal re-summing its entries.
-        resummed = 0.0
-        for entry in exact.entries:
-            resummed += entry.energy_joules
-        assert exact.total_energy() == resummed
+            ledger.post(component, energy)
+            grand += energy
+            totals[component] = totals.get(component, 0.0) + energy
+        assert ledger.total_energy() == grand
+        assert ledger.breakdown() == totals
+        assert ledger.components() == list(totals)
 
     def test_components_order_first_posted(self):
         ledger = EnergyLedger()
@@ -141,6 +127,44 @@ class TestStreamingMode:
         ledger.post("a", 1.0)
         ledger.post("z", 1.0)
         assert ledger.components() == ["z", "a"]
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteInput:
+    """The validated entry points refuse non-finite input up front."""
+
+    @pytest.mark.parametrize("bad_post", [
+        pytest.param(lambda ledger: ledger.post("x", 1.0,
+                                                timestamp_seconds=INF),
+                     id="post-inf-timestamp"),
+        pytest.param(lambda ledger: ledger.post("x", 1.0,
+                                                timestamp_seconds=NAN),
+                     id="post-nan-timestamp"),
+        pytest.param(lambda ledger: ledger.post("x", NAN), id="post-nan"),
+        pytest.param(lambda ledger: ledger.post("x", INF), id="post-inf"),
+        pytest.param(lambda ledger: ledger.post_power("x", NAN, 1.0),
+                     id="power-nan"),
+        pytest.param(lambda ledger: ledger.post_power("x", INF, 1.0),
+                     id="power-inf"),
+        pytest.param(lambda ledger: ledger.post_interval("x", NAN, 0.0, 1.0),
+                     id="interval-nan-energy"),
+        pytest.param(lambda ledger: ledger.post_interval("x", 1.0, 0.0, INF),
+                     id="interval-inf-end"),
+        pytest.param(lambda ledger: ledger.post_interval("x", 1.0, 0.0, NAN),
+                     id="interval-nan-end"),
+    ])
+    def test_rejected_before_any_state_changes(self, bad_post):
+        ledger = EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=4)
+        ledger.post("x", 2.0, timestamp_seconds=15.0)
+        with pytest.raises(EnergyError):
+            bad_post(ledger)
+        assert ledger.total_energy() == 2.0
+        assert ledger.breakdown() == {"x": 2.0}
+        assert ledger.posted_count == 1
+        assert ledger.trace_energy_joules().tolist() == [0.0, 2.0, 0.0, 0.0]
 
 
 class TestPowerTrace:
@@ -182,16 +206,6 @@ class TestMergeExact:
         with pytest.raises(EnergyError):
             EnergyLedger(trace_buckets=4).merge(EnergyLedger(trace_buckets=8))
 
-    def test_merge_keeps_entries_only_when_both_sides_do(self):
-        exact = EnergyLedger(keep_entries=True)
-        exact.post("a", 1.0)
-        streaming = EnergyLedger()
-        streaming.post("b", 2.0)
-        assert not exact.merge(streaming).keeps_entries
-        both = exact.merge(exact)
-        assert both.keeps_entries
-        assert both.retained_entries == 2
-
     def test_clear_resets_streaming_state(self):
         ledger = EnergyLedger()
         ledger.post("a", 1.0, timestamp_seconds=10.0)
@@ -228,15 +242,6 @@ class TestPostInterval:
         ledger = EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=4)
         ledger.post_interval("x", 3.0, 15.0, 15.0)
         assert ledger.trace_energy_joules().tolist() == [0.0, 3.0, 0.0, 0.0]
-
-    def test_exact_mode_retains_interval_entry(self):
-        ledger = EnergyLedger(keep_entries=True)
-        ledger.post_interval("x", 2.0, 1.0, 5.0, note="leap")
-        (entry,) = ledger.entries
-        assert entry.energy_joules == 2.0
-        assert entry.timestamp_seconds == 1.0
-        assert entry.duration_seconds == 4.0
-        assert entry.note == "leap"
 
     def test_invalid_intervals_rejected(self):
         ledger = EnergyLedger()

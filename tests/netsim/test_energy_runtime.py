@@ -17,6 +17,7 @@ from repro.energy.battery import BatterySpec
 from repro.energy.harvester import rf_ambient
 from repro.errors import SimulationError
 from repro.comm.eqs_hbc import wir_commercial
+from repro.netsim.reliability import ARQPolicy, LinkReliability
 from repro.netsim.simulator import BodyNetworkSimulator
 from repro.netsim.traffic import PeriodicSource
 from repro.netsim.config import NodeConfig
@@ -200,22 +201,127 @@ class TestHarvesting:
 
 class TestStreamingLedgerMemory:
     def test_node_and_hub_ledgers_stay_flat(self):
-        """The default ledgers retain zero entries however long the run."""
+        """The streaming ledgers count every post however long the run."""
         simulator = build(duration_budget_joules=1.0)
         result = simulator.run(120.0)
         assert result.delivered_packets > 50
         node = simulator.nodes["leaf"]
-        assert node.ledger.retained_entries == 0
         assert node.ledger.posted_count > result.delivered_packets
-        assert simulator.hub_ledger.retained_entries == 0
 
     def test_batteryless_path_ledger_also_flat(self):
         simulator = BodyNetworkSimulator(wir_commercial(), rng=0)
         simulator.attach(NodeConfig(
             "leaf", PeriodicSource.from_rate(units.kilobit_per_second(64.0))))
-        simulator.run(10.0)
-        assert simulator.nodes["leaf"].ledger.retained_entries == 0
-        assert simulator.hub_ledger.retained_entries == 0
+        result = simulator.run(10.0)
+        # One ``wir_tx`` post per delivery plus sensing, isa and sleep;
+        # the hub posts one ``wir_rx`` per delivery plus its sleep.
+        delivered = result.delivered_packets
+        assert simulator.nodes["leaf"].ledger.posted_count == delivered + 3
+        assert simulator.hub_ledger.posted_count == delivered + 1
+
+
+def replay(pre: float, energy: float, count: int) -> float:
+    """The per-post route's running total: *count* posts on top of *pre*."""
+    total = pre
+    for _ in range(count):
+        total += energy
+    return total
+
+
+class TestSeededLedgerAccumulators:
+    """The kernel accumulates radio posts on top of whatever a ledger
+    already holds, so each total is the sequential per-post sum."""
+
+    ACK_BITS = 64.0
+
+    def lossy_simulator(self, arq: bool) -> BodyNetworkSimulator:
+        reliability = (LinkReliability(seed=0, arq=ARQPolicy(
+            retry_limit=3, ack_bits=self.ACK_BITS)) if arq else None)
+        return BodyNetworkSimulator(wir_commercial(), rng=0,
+                                    reliability=reliability)
+
+    @pytest.mark.parametrize("arq", [False, True], ids=["lossless", "arq"])
+    def test_batteryless_leaf_and_hub(self, arq):
+        simulator = self.lossy_simulator(arq)
+        source = PeriodicSource.from_rate(units.kilobit_per_second(64.0))
+        node = simulator.attach(NodeConfig("leaf", source))
+        if arq:
+            simulator.set_node_error_rate("leaf", 0.2)
+        node.ledger.post("wir_tx", 0.1)
+        node.ledger.post("wir_retx", 0.3)
+        node.ledger.post("arq_ack", 0.7)
+        hub = simulator.hub_ledger
+        hub.post("wir_rx", 0.2)
+        hub.post("ack_tx", 0.5)
+        simulator.run(5.0)
+
+        technology = wir_commercial()
+        bits = source.bits_per_packet
+        delivered = node.packets_delivered
+        erased = node.erased_attempts
+        acks = delivered if arq else 0
+        assert delivered > 0
+        assert (erased > 0) == arq
+        assert delivered == simulator.bus.stats.delivered_packets
+        tx = bits * technology.tx_energy_per_bit()
+        ack_rx = self.ACK_BITS * technology.rx_energy_per_bit()
+        assert node.ledger.total_energy("wir_tx") == replay(0.1, tx, delivered)
+        assert node.ledger.total_energy("wir_retx") == replay(0.3, tx, erased)
+        assert node.ledger.total_energy("arq_ack") == \
+            replay(0.7, ack_rx, acks)
+        # Pre-posts, radio posts, then sensing, isa and sleep at run end.
+        assert node.ledger.posted_count == 3 + delivered + erased + acks + 3
+
+        rx = bits * technology.rx_energy_per_bit()
+        ack_tx = self.ACK_BITS * technology.tx_energy_per_bit()
+        assert hub.total_energy("wir_rx") == \
+            replay(0.2, rx, delivered + erased)
+        assert hub.total_energy("ack_tx") == replay(0.5, ack_tx, acks)
+        # Pre-posts, radio posts, then the hub's sleep at run end.
+        assert hub.posted_count == 2 + delivered + erased + acks + 1
+
+    def test_hub_with_a_battery_node_on_a_lossy_medium(self):
+        """A battery node's attempts post to the hub in event order too."""
+        simulator = self.lossy_simulator(arq=True)
+        source = PeriodicSource.from_rate(units.kilobit_per_second(64.0))
+        simulator.attach(NodeConfig("cell", source, battery=small_cell(1.0)))
+        simulator.attach(NodeConfig("plain", source))
+        for name in ("cell", "plain"):
+            simulator.set_node_error_rate(name, 0.2)
+        hub = simulator.hub_ledger
+        hub.post("wir_rx", 0.2)
+        hub.post("ack_tx", 0.5)
+        result = simulator.run(5.0)
+
+        technology = wir_commercial()
+        bits = source.bits_per_packet
+        delivered = result.delivered_packets
+        erased = result.erased_attempts
+        assert result.dead_node_count == 0
+        assert simulator.nodes["cell"].erased_attempts > 0
+        assert hub.total_energy("wir_rx") == replay(
+            0.2, bits * technology.rx_energy_per_bit(), delivered + erased)
+        assert hub.total_energy("ack_tx") == replay(
+            0.5, self.ACK_BITS * technology.tx_energy_per_bit(), delivered)
+        assert hub.posted_count == 2 + delivered + erased + delivered + 1
+
+
+class TestRunEndStaticSpread:
+    def test_static_energy_spreads_over_the_run(self):
+        """Batteryless static loads and the hub's sleep are spread over
+        the run in the power trace, not dropped into one bucket."""
+        simulator = BodyNetworkSimulator(wir_commercial(), rng=0)
+        simulator.attach(NodeConfig(
+            "leaf", PeriodicSource.from_rate(units.kilobit_per_second(64.0)),
+            sensing_power_watts=units.microwatt(100.0)))
+        simulator.run(600.0)
+        for ledger in (simulator.nodes["leaf"].ledger, simulator.hub_ledger):
+            assert ledger.trace_bucket_seconds == 60.0
+            trace = ledger.trace_energy_joules()
+            run = trace[:10]
+            assert run.max() <= 1.01 * run.min()
+            assert float(trace[10:].sum()) == 0.0
+            assert float(run.sum()) == pytest.approx(ledger.total_energy())
 
 
 class TestEnergyAccountingConsistency:
