@@ -257,6 +257,34 @@ class TestGoldenDigest:
         assert digest == ("c43214c5e57175cd766d670da347ab45"
                           "b1391ba8dfc60677f31b2c47a6a6f74c")
 
+    @pytest.mark.parametrize("members, expected", [
+        (200, "0d757a27bc56f081c3d68454a074c7e3"
+              "174d0642f7fa2d9649f175de1b2e9ff0"),
+        (2000, "c55a444791ef942cafe800b38b520df4"
+               "bd5d9c4e33d0173d1e89438360fc7993"),
+    ])
+    def test_spilled_sketch_frame_bytes_are_pinned(self, members, expected):
+        # The golden frame above holds 8 members, all inside the exact
+        # window; these spill every metric into its quantile sketch.  At
+        # 2000 members the sketches have compacted, so the digest also
+        # pins the compaction schedule.
+        accumulator = CohortAccumulator(exact_capacity=32)
+        for index in range(members):
+            accumulator.add(MemberMetrics(
+                index=index, scenario="office", source="analytic",
+                arbitration="fifo", node_count=1, duration_seconds=1.0,
+                delivered_packets=1, delivered_fraction=1.0,
+                mean_latency_seconds=index * 1e-4,
+                p99_latency_seconds=index * 2e-4, bus_utilization=0.1,
+                leaf_power_watts=1e-3, hub_power_watts=1e-3,
+                leaf_energy_joules=1e-2, hub_energy_joules=1e-2,
+                alive_fraction=1.0, first_death_seconds=math.inf))
+        assert not accumulator.metrics["mean_latency_seconds"].is_exact
+        frame = ShardFrame(shard_index=0, start=0, stop=members,
+                           accumulator=accumulator)
+        blob = encode_shard(frame, compression="none")
+        assert hashlib.sha256(blob).hexdigest() == expected
+
     def test_codec_version_is_stamped(self):
         frame = ShardFrame(shard_index=0, start=0, stop=0,
                            accumulator=CohortAccumulator())

@@ -9,6 +9,9 @@ tied data the point rank of an exactly-correct answer can be arbitrary
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,3 +206,100 @@ class TestValidation:
             sketch.add(float(value))
         assert sketch.quantile(0.0) == samples.min()
         assert sketch.quantile(1.0) == samples.max()
+
+
+def feed_by_add(sketch: QuantileSketch, values) -> None:
+    for value in values:
+        sketch.add(float(value))
+
+
+def _lognormal_200k(feed):
+    sketch = QuantileSketch(k=200)
+    feed(sketch, np.random.default_rng(14).lognormal(0.0, 1.5, 200_000))
+    return sketch
+
+
+def _sorted(feed):
+    sketch = QuantileSketch(k=200)
+    feed(sketch, np.sort(np.random.default_rng(15).uniform(0.0, 1.0, 50_000)))
+    return sketch
+
+
+def _constant(feed):
+    sketch = QuantileSketch(k=200)
+    feed(sketch, np.full(30_000, 3.25))
+    return sketch
+
+
+def _add_repeated_mix(feed):
+    rng = np.random.default_rng(16)
+    sketch = QuantileSketch(k=200)
+    for block in range(40):
+        feed(sketch, rng.exponential(2.0, 700))
+        sketch.add_repeated(float(rng.uniform(0.0, 10.0)), 37 * block + 1)
+    return sketch
+
+
+def _merge_4_shards(feed):
+    rng = np.random.default_rng(17)
+    merged = QuantileSketch(k=200)
+    for _ in range(4):
+        shard = QuantileSketch(k=200)
+        feed(shard, rng.lognormal(0.0, 1.0, 25_000))
+        merged.merge(shard)
+    return merged
+
+
+def _k8(feed):
+    sketch = QuantileSketch(k=8)
+    feed(sketch, np.random.default_rng(18).uniform(-5.0, 5.0, 20_000))
+    return sketch
+
+
+def _restored_then_continued(feed):
+    rng = np.random.default_rng(19)
+    sketch = QuantileSketch(k=50)
+    feed(sketch, rng.normal(0.0, 1.0, 30_000))
+    sketch = QuantileSketch.from_state(sketch.to_state())
+    feed(sketch, rng.normal(3.0, 1.0, 30_000))
+    return sketch
+
+
+def state_digest(sketch: QuantileSketch) -> str:
+    encoded = json.dumps(sketch.to_state(), sort_keys=True)
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+#: Builder and SHA-256 of ``json.dumps(to_state(), sort_keys=True)`` of the
+#: sketch it builds.  The digests pin the compaction schedule itself:
+#: any change to when or how levels compact changes the retained values.
+GOLDEN_STATES = {
+    "lognormal-200k": (_lognormal_200k,
+                       "c47ed58a3bb5d935c8dcacd1b11f4964"
+                       "1f5db57beb879366057857b32805a7bf"),
+    "sorted": (_sorted,
+               "a9c783bb86c1beafa41644eac285db40"
+               "8576f64562e082682800829ef86e5c8d"),
+    "constant": (_constant,
+                 "d3faeafed2988672c2ab2e99848a88fe"
+                 "f7a69a94a37280c4488e6e129d67b16d"),
+    "add-repeated-mix": (_add_repeated_mix,
+                         "62e5acc1d58209d394b2864eff7d0d24"
+                         "f72c78b4bb18c24b278a76f3eed61992"),
+    "merge-4-shards": (_merge_4_shards,
+                       "6e2b6bfd629e3ca6caa84a2bc7224313"
+                       "a606e04c377d691feaba54e652f482b5"),
+    "k8": (_k8,
+           "3bef6dbcdac16186af3ecd381826f243"
+           "cbb51a2496a240eb0059728ce0e219f7"),
+    "restored-then-continued": (_restored_then_continued,
+                                "0fbd3c6e17e95bd67277cf164aaaa483"
+                                "1f2024526202d82541c674f52c998830"),
+}
+
+
+class TestGoldenState:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STATES))
+    def test_state_digest_is_pinned(self, name):
+        build, digest = GOLDEN_STATES[name]
+        assert state_digest(build(feed_by_add)) == digest
