@@ -222,7 +222,9 @@ class CohortAccumulator:
         self.by_source[metrics.source] = (
             self.by_source.get(metrics.source, 0) + 1)
         for name in MEMBER_METRIC_FIELDS:
-            self.metrics[name].add(getattr(metrics, name))
+            # Unchecked: a degenerate member's nan/inf metrics are kept
+            # (see LatencyAccumulator._record).
+            self.metrics[name]._record(getattr(metrics, name))
 
     def merge(self, other: "CohortAccumulator") -> None:
         """Fold another (later-member-range) accumulator into this one."""

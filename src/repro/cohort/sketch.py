@@ -26,6 +26,16 @@ this repository keeps.  Properties:
   default k), measured against ``np.percentile`` on uniform, lognormal,
   sorted and constant streams in ``tests/cohort/test_sketch.py``.
 
+Cost model: the sketch keeps its retained count and every level's
+capacity as running state (capacities change only when a level is
+added), so :meth:`QuantileSketch.add` is O(1) amortised — an append and
+one integer comparison, plus the compactions that amortise to O(1) per
+value.  :meth:`QuantileSketch.extend` records a whole window (an exact
+latency window spilling, a pending buffer flushing) in level-0 chunks
+sized to the remaining capacity, compressing between chunks: the same
+sketch, byte for byte, as a loop of ``add``, without a Python-level
+call per value.
+
 Values must be finite (percentile queries on ``inf``/``nan`` are
 meaningless); callers that track non-finite markers (e.g. "no brownout"
 as ``inf``) keep them in exact counters instead.
@@ -34,7 +44,8 @@ as ``inf``) keep them in exact counters instead.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 from ..errors import SimulationError
 
@@ -60,7 +71,8 @@ class QuantileSketch:
         normalised rank.
     """
 
-    __slots__ = ("k", "count", "_min", "_max", "_levels", "_flips")
+    __slots__ = ("k", "count", "_min", "_max", "_levels", "_flips",
+                 "_size", "_capacities", "_total_capacity")
 
     def __init__(self, k: int = DEFAULT_K) -> None:
         if k < 8:
@@ -75,6 +87,11 @@ class QuantileSketch:
         #: Per-level alternating compaction offset (the deterministic
         #: stand-in for KLL's coin flip).
         self._flips: list[bool] = [False]
+        #: Retained values across all levels.
+        self._size = 0
+        self._capacities: list[int] = []
+        self._total_capacity = 0
+        self._refresh_capacities()
 
     # -- recording ---------------------------------------------------------
 
@@ -90,7 +107,45 @@ class QuantileSketch:
         if value > self._max:
             self._max = value
         self._levels[0].append(value)
-        self._compress()
+        self._size += 1
+        if self._size > self._total_capacity:
+            self._compress()
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Record every value of *values*, in order.
+
+        Produces the same sketch as ``for value in values: add(value)``:
+        the batch is validated up front (nothing changes if any value is
+        non-finite), the extrema see the same ``<``/``>`` comparisons,
+        and level 0 fills in chunks that end exactly on the value whose
+        ``add`` would have triggered a compression.  *values* is read in
+        place (a list or array, not an iterator), never copied.
+        """
+        if len(values) == 0:
+            return
+        if not all(map(math.isfinite, values)):
+            bad = next(value for value in values if not math.isfinite(value))
+            raise SimulationError(
+                f"quantile sketch values must be finite: {float(bad)}")
+        self.count += len(values)
+        low = min(map(float, values))
+        if low < self._min:
+            self._min = low
+        high = max(map(float, values))
+        if high > self._max:
+            self._max = high
+        stream = map(float, values)
+        remaining = len(values)
+        while remaining:
+            # The chunk's last value is the one whose add() would have
+            # pushed the size past capacity (a compress leaves the size
+            # within capacity, so the chunk is never empty).
+            chunk = min(self._total_capacity - self._size + 1, remaining)
+            self._levels[0].extend(islice(stream, chunk))
+            self._size += chunk
+            remaining -= chunk
+            if self._size > self._total_capacity:
+                self._compress()
 
     def add_repeated(self, value: float, weight: int) -> None:
         """Record *value* ``weight`` times in O(log weight) inserts.
@@ -117,8 +172,10 @@ class QuantileSketch:
             level = remaining.bit_length() - 1
             self._ensure_level(level)
             self._levels[level].append(value)
+            self._size += 1
             remaining -= 1 << level
-        self._compress()
+        if self._size > self._total_capacity:
+            self._compress()
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold *other* into this sketch (level-wise concatenation)."""
@@ -130,34 +187,37 @@ class QuantileSketch:
         self._ensure_level(len(other._levels) - 1)
         for level, items in enumerate(other._levels):
             self._levels[level].extend(items)
-        self._compress()
+        self._size += other._size
+        if self._size > self._total_capacity:
+            self._compress()
 
     # -- compaction --------------------------------------------------------
 
     def _ensure_level(self, level: int) -> None:
+        if len(self._levels) > level:
+            return
         while len(self._levels) <= level:
             self._levels.append([])
             self._flips.append(False)
+        self._refresh_capacities()
 
-    def _capacity(self, level: int) -> int:
-        depth = len(self._levels) - 1 - level
-        return max(_MIN_CAPACITY, math.ceil(self.k * _LEVEL_DECAY ** depth))
-
-    def _retained(self) -> int:
-        return sum(len(items) for items in self._levels)
+    def _refresh_capacities(self) -> None:
+        """Recompute every level's capacity; they depend on the depth."""
+        top = len(self._levels) - 1
+        self._capacities = [
+            max(_MIN_CAPACITY,
+                math.ceil(self.k * _LEVEL_DECAY ** (top - level)))
+            for level in range(top + 1)]
+        self._total_capacity = sum(self._capacities)
 
     def _compress(self) -> None:
-        total_capacity = sum(self._capacity(level)
-                             for level in range(len(self._levels)))
-        while self._retained() > total_capacity:
+        # Retaining more than the total capacity means some level is over
+        # its own capacity (>= 2), so the scan always finds one to halve.
+        while self._size > self._total_capacity:
             for level, items in enumerate(self._levels):
-                if len(items) >= self._capacity(level) and len(items) >= 2:
+                if len(items) >= self._capacities[level]:
                     self._compact(level)
                     break
-            else:  # nothing compactable (all levels tiny): accept the size
-                break
-            total_capacity = sum(self._capacity(level)
-                                 for level in range(len(self._levels)))
 
     def _compact(self, level: int) -> None:
         """Halve one level: sort, keep every other value one level up.
@@ -176,6 +236,7 @@ class QuantileSketch:
         self._flips[level] = not self._flips[level]
         promoted = items[offset::2]
         self._levels[level] = leftover
+        self._size -= len(items) - len(promoted)
         self._ensure_level(level + 1)
         self._levels[level + 1].extend(promoted)
 
@@ -198,7 +259,7 @@ class QuantileSketch:
     @property
     def retained(self) -> int:
         """Number of values currently held (the memory bound)."""
-        return self._retained()
+        return self._size
 
     @property
     def rank_error_bound(self) -> float:
@@ -255,7 +316,13 @@ class QuantileSketch:
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "QuantileSketch":
-        """Rebuild a sketch exactly from :meth:`to_state` output."""
+        """Rebuild a sketch exactly from :meth:`to_state` output.
+
+        The running state is derived from the levels, so the levels are
+        checked against what every sketch conserves: ``count`` equals
+        the total weight ``sum(len(levels[i]) * 2**i)``, every retained
+        value is finite and ``min <= max`` once anything was recorded.
+        """
         sketch = cls(k=int(state["k"]))
         sketch.count = int(state["count"])
         sketch._min = float(state["min"])
@@ -267,6 +334,18 @@ class QuantileSketch:
         if len(flips) != len(levels):
             raise SimulationError(
                 "sketch state levels/flips length mismatch")
+        weight = sum(len(items) << level for level, items in enumerate(levels))
+        if weight != sketch.count:
+            raise SimulationError(
+                f"sketch state count {sketch.count} != retained weight "
+                f"{weight}")
+        if not all(all(map(math.isfinite, items)) for items in levels):
+            raise SimulationError("sketch state holds a non-finite value")
+        if sketch.count and not sketch._min <= sketch._max:
+            raise SimulationError(
+                f"sketch state min {sketch._min} > max {sketch._max}")
         sketch._levels = levels
         sketch._flips = flips
+        sketch._size = sum(map(len, levels))
+        sketch._refresh_capacities()
         return sketch

@@ -48,6 +48,15 @@ PENDING_FLUSH_THRESHOLD = 4096
 #: Recognised post-spill streaming backends.
 BACKENDS = ("histogram", "sketch")
 
+_INF = math.inf
+
+
+def _latency_error(value: float) -> SimulationError:
+    """The error for a sample outside ``[0, inf)`` (``nan`` included)."""
+    if value < 0:
+        return SimulationError(f"latency must be non-negative: {value}")
+    return SimulationError(f"latency must be finite: {value}")
+
 
 class LatencyAccumulator:
     """Streaming mean / percentile estimator with an exact warm-up window.
@@ -99,9 +108,18 @@ class LatencyAccumulator:
     # -- recording ---------------------------------------------------------
 
     def add(self, value: float) -> None:
-        """Record one latency sample (seconds)."""
-        if value < 0:
-            raise SimulationError(f"latency must be non-negative: {value}")
+        """Record one latency sample (seconds); finite and non-negative."""
+        if not 0.0 <= value < _INF:
+            raise _latency_error(value)
+        self._record(value)
+
+    def _record(self, value: float) -> None:
+        """:meth:`add` without the range check.
+
+        The cohort aggregate records member metrics through this: a
+        degenerate member (dead, nothing delivered) carries ``nan``/``inf``
+        metrics, which its exact window holds and its report sanitizes.
+        """
         self.count += 1
         if value < self._min:
             self._min = value
@@ -132,9 +150,8 @@ class LatencyAccumulator:
             raise SimulationError(
                 "add_batch needs equally many values and counts")
         for value, count in zip(values, counts):
-            if value < 0:
-                raise SimulationError(
-                    f"latency must be non-negative: {value}")
+            if not 0.0 <= value < _INF:
+                raise _latency_error(value)
             if count < 0:
                 raise SimulationError(
                     f"count must be non-negative: {count}")
@@ -194,8 +211,7 @@ class LatencyAccumulator:
             total += value
         self._total = total
         if self._sketch is not None:
-            for value in pending:
-                self._sketch.add(value)
+            self._sketch.extend(pending)
         else:
             indices = np.searchsorted(self._edges, pending, side="right")
             np.add.at(self._counts, indices, 1)
@@ -211,8 +227,7 @@ class LatencyAccumulator:
         if self.backend == "sketch":
             from ..cohort.sketch import QuantileSketch
             self._sketch = QuantileSketch()
-            for value in samples:
-                self._sketch.add(value)
+            self._sketch.extend(samples)
             self._samples = None
             return
         # A log-spaced grid cannot include zero, so exact-zero samples
@@ -280,7 +295,7 @@ class LatencyAccumulator:
             if other._samples is not None:
                 self._samples = []
                 for value in other._samples:
-                    self.add(value)
+                    self._record(value)
                 return
             self._samples = None
             self.backend = other.backend
@@ -302,8 +317,7 @@ class LatencyAccumulator:
         if other._samples is not None:
             self._total += math.fsum(other._samples)
             if self._sketch is not None:
-                for value in other._samples:
-                    self._sketch.add(value)
+                self._sketch.extend(other._samples)
             else:
                 indices = np.searchsorted(self._edges,
                                           np.asarray(other._samples),

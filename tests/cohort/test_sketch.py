@@ -213,6 +213,10 @@ def feed_by_add(sketch: QuantileSketch, values) -> None:
         sketch.add(float(value))
 
 
+def feed_by_extend(sketch: QuantileSketch, values) -> None:
+    sketch.extend(values)
+
+
 def _lognormal_200k(feed):
     sketch = QuantileSketch(k=200)
     feed(sketch, np.random.default_rng(14).lognormal(0.0, 1.5, 200_000))
@@ -303,3 +307,166 @@ class TestGoldenState:
     def test_state_digest_is_pinned(self, name):
         build, digest = GOLDEN_STATES[name]
         assert state_digest(build(feed_by_add)) == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STATES))
+    def test_extend_reproduces_pinned_state(self, name):
+        build, digest = GOLDEN_STATES[name]
+        assert state_digest(build(feed_by_extend)) == digest
+
+
+def add_loop_state(values, k: int = 200) -> dict[str, object]:
+    sketch = QuantileSketch(k=k)
+    feed_by_add(sketch, values)
+    return sketch.to_state()
+
+
+def assert_running_state_consistent(sketch: QuantileSketch) -> None:
+    levels = sketch.to_state()["levels"]
+    assert sketch.retained == sum(len(items) for items in levels)
+    assert sketch.count == sum(len(items) << level
+                               for level, items in enumerate(levels))
+
+
+class TestExtend:
+    def test_window_spill_matches_add_loop(self):
+        # The shape of a LatencyAccumulator spill: one 65,537-sample
+        # exact window fed into a fresh sketch.
+        values = np.random.default_rng(21).lognormal(0.0, 1.0, 65_537)
+        sketch = QuantileSketch()
+        sketch.extend(values.tolist())
+        assert sketch.to_state() == add_loop_state(values)
+
+    def test_extend_after_adds_continues_the_schedule(self):
+        values = np.random.default_rng(22).uniform(size=5_000).tolist()
+        sketch = QuantileSketch(k=16)
+        for value in values[:333]:
+            sketch.add(value)
+        sketch.extend(values[333:4000])
+        sketch.extend(values[4000:])
+        assert sketch.to_state() == add_loop_state(values, k=16)
+
+    def test_ints_and_arrays_are_recorded_as_floats(self):
+        sketch = QuantileSketch(k=8)
+        sketch.extend([3, 1, 2] * 20)
+        sketch.extend(np.arange(40, dtype=np.int64))
+        reference = QuantileSketch(k=8)
+        feed_by_add(reference, [3, 1, 2] * 20 + list(range(40)))
+        assert sketch.to_state() == reference.to_state()
+        assert all(type(value) is float
+                   for items in sketch.to_state()["levels"]
+                   for value in items)
+
+    def test_empty_extend_is_a_noop(self):
+        sketch = QuantileSketch()
+        sketch.extend([])
+        sketch.extend(np.array([]))
+        assert sketch.is_empty
+        assert sketch.to_state() == QuantileSketch().to_state()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_batch_changes_nothing(self, bad):
+        sketch = QuantileSketch(k=8)
+        sketch.extend(np.linspace(0.0, 1.0, 100))
+        before = sketch.to_state()
+        with pytest.raises(SimulationError):
+            sketch.extend([0.5] * 50 + [bad] + [0.25])
+        assert sketch.to_state() == before
+        assert_running_state_consistent(sketch)
+
+
+class TestFromStateValidation:
+    @staticmethod
+    def spilled_state() -> dict[str, object]:
+        sketch = QuantileSketch(k=8)
+        sketch.extend(np.linspace(0.0, 1.0, 500))
+        return sketch.to_state()
+
+    def test_valid_spilled_state_accepted(self):
+        state = self.spilled_state()
+        restored = QuantileSketch.from_state(state)
+        assert restored.to_state() == state
+        assert_running_state_consistent(restored)
+
+    def test_count_must_equal_retained_weight(self):
+        state = QuantileSketch(k=8).to_state()
+        state.update(count=3, min=1.0, max=1.0, levels=[[1.0]])
+        with pytest.raises(SimulationError, match="weight"):
+            QuantileSketch.from_state(state)
+        state = self.spilled_state()
+        state["count"] += 1
+        with pytest.raises(SimulationError, match="weight"):
+            QuantileSketch.from_state(state)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_retained_values_must_be_finite(self, bad):
+        state = self.spilled_state()
+        state["levels"][-1][0] = bad
+        with pytest.raises(SimulationError, match="finite"):
+            QuantileSketch.from_state(state)
+
+    def test_min_must_not_exceed_max(self):
+        state = self.spilled_state()
+        state["min"], state["max"] = state["max"], state["min"]
+        with pytest.raises(SimulationError, match="min"):
+            QuantileSketch.from_state(state)
+
+    def test_empty_state_keeps_infinite_extrema(self):
+        restored = QuantileSketch.from_state(QuantileSketch().to_state())
+        assert restored.is_empty
+
+
+finite_values = st.floats(min_value=-1e9, max_value=1e9,
+                          allow_nan=False, allow_infinity=False)
+
+#: One step of a sketch's life: the operation name and its argument.
+operations = st.one_of(
+    st.tuples(st.just("add"), finite_values),
+    st.tuples(st.just("extend"), st.lists(finite_values, max_size=400)),
+    st.tuples(st.just("add_repeated"),
+              st.tuples(finite_values, st.integers(0, 5_000))),
+    st.tuples(st.just("merge"), st.lists(finite_values, max_size=400)),
+    st.tuples(st.just("round_trip"), st.none()),
+)
+
+
+def apply(sketch: QuantileSketch, operation, batched: bool):
+    """Apply one operation; *batched* feeds lists by extend, else add."""
+    name, argument = operation
+    feed = feed_by_extend if batched else feed_by_add
+    if name == "add":
+        sketch.add(argument)
+    elif name == "extend":
+        feed(sketch, argument)
+    elif name == "add_repeated":
+        sketch.add_repeated(*argument)
+    elif name == "merge":
+        other = QuantileSketch(k=sketch.k)
+        feed(other, argument)
+        sketch.merge(other)
+    else:
+        sketch = QuantileSketch.from_state(sketch.to_state())
+    return sketch
+
+
+class TestRunningStateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(finite_values, max_size=3_000),
+           st.integers(min_value=0, max_value=3_000),
+           st.sampled_from([8, 16, 50, 200]))
+    def test_extend_equals_add_loop(self, values, split, k):
+        batched = QuantileSketch(k=k)
+        feed_by_add(batched, values[:split])
+        batched.extend(values[split:])
+        assert batched.to_state() == add_loop_state(values, k=k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(operations, max_size=25),
+           st.sampled_from([8, 16, 50]))
+    def test_running_state_tracks_levels(self, steps, k):
+        batched, reference = QuantileSketch(k=k), QuantileSketch(k=k)
+        for step in steps:
+            batched = apply(batched, step, batched=True)
+            reference = apply(reference, step, batched=False)
+            assert_running_state_consistent(batched)
+        assert batched.to_state() == reference.to_state()

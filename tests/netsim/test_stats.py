@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -500,3 +502,57 @@ class TestAddBatch:
         accumulator = LatencyAccumulator()
         with pytest.raises(SimulationError):
             accumulator.add_batch([-0.1], [1])
+
+
+class TestNonFiniteRejected:
+    """A ``nan`` or ``inf`` latency is refused before it changes anything.
+
+    Accepted, ``nan`` made every exact-window and histogram query return
+    ``nan`` (and ``inf`` an infinite mean and p99); on the sketch backend
+    the next flush raised with the pending buffer uncleared, so every
+    later query raised too.
+    """
+
+    @staticmethod
+    def primed(backend: str, spilled: bool) -> LatencyAccumulator:
+        accumulator = LatencyAccumulator(exact_capacity=16, backend=backend)
+        for value in np.linspace(0.001, 1.0, 40 if spilled else 8):
+            accumulator.add(float(value))
+        return accumulator
+
+    @staticmethod
+    def assert_still_sound(accumulator, before) -> None:
+        assert accumulator.to_state() == before
+        assert math.isfinite(accumulator.mean)
+        assert math.isfinite(accumulator.percentile(99.0))
+
+    @pytest.mark.parametrize("spilled", [False, True],
+                             ids=["exact", "spilled"])
+    @pytest.mark.parametrize("backend", ["histogram", "sketch"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_add_rejects_non_finite(self, bad, backend, spilled):
+        accumulator = self.primed(backend, spilled)
+        before = accumulator.to_state()
+        with pytest.raises(SimulationError):
+            accumulator.add(bad)
+        self.assert_still_sound(accumulator, before)
+
+    @pytest.mark.parametrize("spilled", [False, True],
+                             ids=["exact", "spilled"])
+    @pytest.mark.parametrize("backend", ["histogram", "sketch"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_add_batch_rejects_non_finite(self, bad, backend, spilled):
+        accumulator = self.primed(backend, spilled)
+        before = accumulator.to_state()
+        with pytest.raises(SimulationError):
+            accumulator.add_batch([0.5, bad, 0.25], [3, 2, 40])
+        self.assert_still_sound(accumulator, before)
+
+    def test_messages_name_the_fault(self):
+        accumulator = LatencyAccumulator()
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.add(math.nan)
+        with pytest.raises(SimulationError, match="non-negative"):
+            accumulator.add(-1.0)
