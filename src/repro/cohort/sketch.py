@@ -194,12 +194,11 @@ class QuantileSketch:
     # -- compaction --------------------------------------------------------
 
     def _ensure_level(self, level: int) -> None:
-        if len(self._levels) > level:
-            return
-        while len(self._levels) <= level:
-            self._levels.append([])
-            self._flips.append(False)
-        self._refresh_capacities()
+        missing = level + 1 - len(self._levels)
+        if missing > 0:
+            self._levels.extend([] for _ in range(missing))
+            self._flips.extend([False] * missing)
+            self._refresh_capacities()
 
     def _refresh_capacities(self) -> None:
         """Recompute every level's capacity; they depend on the depth."""
