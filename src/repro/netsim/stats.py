@@ -48,9 +48,6 @@ PENDING_FLUSH_THRESHOLD = 4096
 #: Recognised post-spill streaming backends.
 BACKENDS = ("histogram", "sketch")
 
-_INF = math.inf
-
-
 def _latency_error(value: float) -> SimulationError:
     """The error for a sample outside ``[0, inf)`` (``nan`` included)."""
     if value < 0:
@@ -109,7 +106,7 @@ class LatencyAccumulator:
 
     def add(self, value: float) -> None:
         """Record one latency sample (seconds); finite and non-negative."""
-        if not 0.0 <= value < _INF:
+        if not 0.0 <= value < math.inf:
             raise _latency_error(value)
         self._record(value)
 
@@ -150,7 +147,7 @@ class LatencyAccumulator:
             raise SimulationError(
                 "add_batch needs equally many values and counts")
         for value, count in zip(values, counts):
-            if not 0.0 <= value < _INF:
+            if not 0.0 <= value < math.inf:
                 raise _latency_error(value)
             if count < 0:
                 raise SimulationError(
