@@ -328,23 +328,6 @@ def assert_running_state_consistent(sketch: QuantileSketch) -> None:
 
 
 class TestExtend:
-    def test_window_spill_matches_add_loop(self):
-        # The shape of a LatencyAccumulator spill: one 65,537-sample
-        # exact window fed into a fresh sketch.
-        values = np.random.default_rng(21).lognormal(0.0, 1.0, 65_537)
-        sketch = QuantileSketch()
-        sketch.extend(values.tolist())
-        assert sketch.to_state() == add_loop_state(values)
-
-    def test_extend_after_adds_continues_the_schedule(self):
-        values = np.random.default_rng(22).uniform(size=5_000).tolist()
-        sketch = QuantileSketch(k=16)
-        for value in values[:333]:
-            sketch.add(value)
-        sketch.extend(values[333:4000])
-        sketch.extend(values[4000:])
-        assert sketch.to_state() == add_loop_state(values, k=16)
-
     def test_ints_and_arrays_are_recorded_as_floats(self):
         sketch = QuantileSketch(k=8)
         sketch.extend([3, 1, 2] * 20)
